@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import run_benchmark, summarize
+from .bench import GENERATORS, run_benchmark, summarize
 from .dlm import DiscountPair, NIGPrior, default_prior
 from .io import (
     fmt,
@@ -35,11 +35,21 @@ from .io import (
     write_truth_csv,
 )
 from .selection import SearchGrid, fit_blfdyn, fit_blffix, fit_fixed
-from .simulate import gen_piecewise, gen_tvar2, gen_tvar6, gen_tvvar, true_spectrum
+from .simulate import gen_tvvar, true_spectrum
 from .spectrum import default_freq_grid, spectrum_posterior, tvar_spectrum
 from .tvar import path_sampler
 
-PROCESSES = ("tvar2", "tvar6", "piecewise", "tvvar")
+
+def _gen_tvvar(T: int, seed: int | None = None):
+    """AR(1) at 0.9 with innovation variance exp(sin(2 pi t / T))."""
+    t = np.arange(1, T + 1)
+    return gen_tvvar(T, seed, np.exp(np.sin(2.0 * np.pi * t / T)),
+                     np.full((T, 1), 0.9))
+
+
+def _simulators() -> dict:
+    """Every process ``blf simulate`` knows, by name."""
+    return {**GENERATORS, "tvvar": _gen_tvvar}
 
 
 def _grid_from_args(args) -> SearchGrid:
@@ -85,18 +95,7 @@ def _add_prior_args(p) -> None:
 def cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.process == "tvar2":
-        proc = gen_tvar2(args.T, seed=args.seed)
-    elif args.process == "tvar6":
-        proc = gen_tvar6(args.T, seed=args.seed)
-    elif args.process == "piecewise":
-        proc = gen_piecewise(args.T, seed=args.seed)
-    else:
-        t = np.arange(1, args.T + 1)
-        variance = np.exp(np.sin(2.0 * np.pi * t / args.T))
-        coeffs = np.full((args.T, 1), 0.9)
-        proc = gen_tvvar(args.T, args.seed, variance, coeffs)
-
+    proc = _simulators()[args.process](args.T, seed=args.seed)
     write_series_csv(out / "series.csv", proc.x)
     write_truth_csv(out / "truth.csv", proc.true_coeffs, proc.true_sigma2)
     freqs = default_freq_grid(args.freq_step)
@@ -107,7 +106,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     x = read_series_csv(args.input)
-    if len(x) < args.p_max + 2:
+    if args.method != "fixed" and len(x) < args.p_max + 2:
         raise ValueError(
             f"series of length {len(x)} is too short for p_max={args.p_max}"
         )
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a reference process")
-    p_sim.add_argument("process", choices=PROCESSES)
+    p_sim.add_argument("process", choices=_simulators())
     p_sim.add_argument("--T", type=int, default=1024, help="series length")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--freq-step", type=float, default=0.005)
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_bench = sub.add_parser("benchmark", help="replicated simulation study")
-    p_bench.add_argument("process", choices=("tvar2", "tvar6", "piecewise"))
+    p_bench.add_argument("process", choices=sorted(GENERATORS))
     p_bench.add_argument("--n", type=int, default=20, help="replicate count")
     p_bench.add_argument("--methods", default="blfdyn,blffix",
                          help="comma-separated: blfdyn, blffix")

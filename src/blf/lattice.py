@@ -100,11 +100,13 @@ def run_stage(f_prev, b_prev, m: int, d_f: DiscountPair, d_b: DiscountPair,
     ----------
     f_prev, b_prev : array_like, shape (T,) or (T, G)
         Forward and backward prediction errors from the previous stage
-        (the raw series itself for m = 1).
+        (the raw series itself for m = 1).  The batch axis lives on the
+        series: G columns are G independent stages.
     m : int
         Stage index, 1 <= m < T.
     d_f, d_b : DiscountPair
-        Discounts for the forward and backward regressions.
+        Discounts for the forward and backward regressions: scalars, or
+        length-G arrays (one value per column) for a (T, G) batch.
     prior : NIGPrior
         Shared by both regressions.
 
@@ -126,13 +128,11 @@ def run_stage(f_prev, b_prev, m: int, d_f: DiscountPair, d_b: DiscountPair,
     sm_f = backward_smooth(fs_f, d_f)
     fs_b = forward_filter(b_prev, x_b, prior, d_b, updated=mask_b)
     sm_b = backward_smooth(fs_b, d_b)
+    if sm_f.mu.shape != f_prev.shape or sm_b.mu.shape != b_prev.shape:
+        raise ValueError("batched discounts need a (T, G) series, one column each")
 
-    # 1-D series against batched discounts: trail the batch axis
-    def _align(arr, ndim):
-        return arr.reshape(arr.shape + (1,) * (ndim - arr.ndim))
-
-    f_next = _align(f_prev, sm_f.mu.ndim) - sm_f.mu * _align(x_f, sm_f.mu.ndim)
-    b_next = _align(b_prev, sm_b.mu.ndim) - sm_b.mu * _align(x_b, sm_b.mu.ndim)
+    f_next = f_prev - sm_f.mu * x_f
+    b_next = b_prev - sm_b.mu * x_b
 
     if not (np.all(np.isfinite(f_next)) and np.all(np.isfinite(b_next))):
         raise ValueError(f"non-finite residuals produced at stage m={m}")

@@ -17,9 +17,10 @@ produces: the greedy search's stage maxima for ``fit_blfdyn``, and for
 outputs are its one-step forecast errors.  The causal scree is what makes
 fixed-pair totals comparable across the grid: chaining smoothed residuals
 instead lets every extra stage shrink the series a little using future
-data, which rewards small discounts without bound.  The final model is
-always re-fit through the ordinary smoothed lattice at the selected
-configuration.
+data, which rewards small discounts without bound.  Scores need only the
+forward filters.  The final model is the smoothed lattice at the selected
+discounts up to the selected order; ``fit_blfdyn`` builds it stage by stage
+during its search.
 """
 
 from __future__ import annotations
@@ -76,7 +77,11 @@ class SearchGrid:
 
 @dataclass
 class SelectionReport:
-    """Outcome of a selection run: scree, discounts, order and final fit."""
+    """Outcome of a selection run: scree, discounts, order and final fit.
+
+    ``run`` holds the ``chosen_order`` stages of the final model; for the
+    searches ``per_stage_discounts`` and ``scree`` stay ``p_max`` long.
+    """
 
     method: str
     chosen_order: int
@@ -113,35 +118,35 @@ def _batched_pairs(grid: SearchGrid) -> tuple[list[DiscountPair], DiscountPair]:
     return pairs, DiscountPair(gam, dlt)
 
 
-def _causal_scree(x: np.ndarray, per_stage, p_max: int, prior: NIGPrior) -> np.ndarray:
+def _require_finite(ll: np.ndarray, batch: DiscountPair, m: int) -> None:
+    """Raise naming the first grid pair whose stage-m score is not finite."""
+    bad = np.flatnonzero(~np.isfinite(ll))
+    if bad.size:
+        g = bad[0]
+        raise ValueError(f"non-finite predictive log likelihood at stage m={m} for "
+                         f"(gamma, delta)=({batch.gamma[g]}, {batch.delta[g]})")
+
+
+def _causal_scree(x: np.ndarray, batch: DiscountPair, p_max: int,
+                  prior: NIGPrior) -> np.ndarray:
     """Per-stage predictive log likelihoods of a causal lattice pass.
 
     Stage outputs are the filters' one-step forecast errors (inputs carried
-    through unchanged at masked boundary times).  ``per_stage`` is a single
-    DiscountPair, possibly holding length-G discount arrays (the pass is
-    then batched and the result has shape (p_max, G)), or a list of p_max
-    DiscountPairs.
+    through unchanged at masked boundary times).  ``batch`` holds length-G
+    discount arrays, one column per grid pair; the result has shape
+    (p_max, G).
     """
-    if isinstance(per_stage, DiscountPair):
-        per_stage = [per_stage] * p_max
-
-    def align(arr, ndim):
-        return arr.reshape(arr.shape + (1,) * (ndim - arr.ndim))
-
-    scree = None
-    f_prev, b_prev = x, x
+    G = np.size(batch.gamma)
+    scree = np.empty((p_max, G))
+    f_prev = b_prev = np.broadcast_to(x[:, None], (x.shape[0], G))
     for m in range(1, p_max + 1):
-        d = per_stage[m - 1]
         x_f, mask_f, x_b, mask_b = stage_regressors(f_prev, b_prev, m)
-        fs_f = forward_filter(f_prev, x_f, prior, d, updated=mask_f)
-        fs_b = forward_filter(b_prev, x_b, prior, d, updated=mask_b)
-        ll = predictive_loglik(fs_f)
-        if scree is None:
-            scree = np.empty((p_max,) + np.shape(ll))
-        scree[m - 1] = ll
-        nd = fs_f.e.ndim
-        f_prev = np.where(align(mask_f, nd), fs_f.e, align(f_prev, nd))
-        b_prev = np.where(align(mask_b, nd), fs_b.e, align(b_prev, nd))
+        fs_f = forward_filter(f_prev, x_f, prior, batch, updated=mask_f)
+        fs_b = forward_filter(b_prev, x_b, prior, batch, updated=mask_b)
+        scree[m - 1] = predictive_loglik(fs_f)
+        _require_finite(scree[m - 1], batch, m)
+        f_prev = np.where(mask_f[:, None], fs_f.e, f_prev)
+        b_prev = np.where(mask_b[:, None], fs_b.e, b_prev)
     return scree
 
 
@@ -158,17 +163,15 @@ def _first_flattening(scree: np.ndarray) -> int:
     return len(scree)
 
 
-def _finalize(method: str, x, chosen: list[DiscountPair], grid: SearchGrid,
-              prior: NIGPrior, order: int, saturated: bool,
-              rule_scree: np.ndarray) -> SelectionReport:
-    """Canonical smoothed re-run of the selected configuration."""
-    run = run_lattice(x, grid.p_max, chosen, prior)
+def _report(method: str, run: LatticeRun, discounts: list[DiscountPair],
+            scree: np.ndarray, saturated: bool) -> SelectionReport:
+    """Report whose final model is every stage of ``run``."""
     return SelectionReport(
         method=method,
-        chosen_order=order,
-        per_stage_discounts=chosen,
-        scree=rule_scree,
-        fit=assemble_fit(run, order),
+        chosen_order=run.order,
+        per_stage_discounts=discounts,
+        scree=scree,
+        fit=assemble_fit(run, run.order),
         saturated=saturated,
         run=run,
     )
@@ -188,24 +191,26 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     prior = default_prior(x) if prior is None else prior
     pairs, batch = _batched_pairs(grid)
 
-    chosen: list[DiscountPair] = []
+    stages = []
     scree = np.empty(grid.p_max)
     f_prev, b_prev = x, x
     for m in range(1, grid.p_max + 1):
-        stage = run_stage(f_prev, b_prev, m, batch, batch, prior)
-        best = int(np.argmax(stage.loglik))
-        chosen.append(pairs[best])
-        scree[m - 1] = stage.loglik[best]
-        f_prev = stage.f_next[:, best]
-        b_prev = stage.b_next[:, best]
+        x_f, mask_f, _, _ = stage_regressors(f_prev, b_prev, m)
+        ll = predictive_loglik(forward_filter(f_prev, x_f, prior, batch,
+                                              updated=mask_f))
+        _require_finite(ll, batch, m)
+        best = int(np.argmax(ll))
+        scree[m - 1] = ll[best]
+        stages.append(run_stage(f_prev, b_prev, m, pairs[best], pairs[best], prior))
+        f_prev, b_prev = stages[-1].f_next, stages[-1].b_next
 
     if grid.p_max == 1:
         order, saturated = 1, True
     else:
         order = select_order(scree, tau)
         saturated = order == grid.p_max
-    return _finalize("blfdyn", x, chosen, grid, prior, order, saturated,
-                     rule_scree=scree)
+    run = LatticeRun(stages=stages[:order], x=x, prior=prior)
+    return _report("blfdyn", run, [st.discounts_f for st in stages], scree, saturated)
 
 
 def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
@@ -239,9 +244,9 @@ def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
         orders[g] = _first_flattening(scree[:, g]) if sats[g] else o
     joint = scree[orders - 1, np.arange(len(pairs))]
     best = int(np.argmax(joint))
-    return _finalize("blffix", x, [pairs[best]] * grid.p_max, grid, prior,
-                     int(orders[best]), bool(sats[best]),
-                     rule_scree=scree[:, best])
+    run = run_lattice(x, int(orders[best]), pairs[best], prior)
+    return _report("blffix", run, [pairs[best]] * grid.p_max, scree[:, best],
+                   bool(sats[best]))
 
 
 def fit_fixed(x, d: DiscountPair, order: int,
@@ -250,15 +255,7 @@ def fit_fixed(x, d: DiscountPair, order: int,
     x = np.asarray(x, dtype=float)
     prior = default_prior(x) if prior is None else prior
     run = run_lattice(x, order, d, prior)
-    return SelectionReport(
-        method="fixed",
-        chosen_order=order,
-        per_stage_discounts=[d] * order,
-        scree=run.scree,
-        fit=assemble_fit(run, order),
-        saturated=False,
-        run=run,
-    )
+    return _report("fixed", run, [d] * order, run.scree, False)
 
 
 def scree_table(report: SelectionReport) -> list[tuple[int, float, float | None]]:

@@ -206,6 +206,15 @@ class TestCli:
         write_series_csv(src, np.arange(5.0))
         assert main(["fit", str(src), "--out-dir", str(tmp_path)]) == 1
 
+    def test_fit_fixed_short_series_ignores_p_max(self, tmp_path):
+        """The p_max length guard applies to the searches only."""
+        src = tmp_path / "short.csv"
+        write_series_csv(src, np.random.default_rng(48).normal(size=12))
+        out = tmp_path / "out"
+        assert main(["fit", str(src), "--method", "fixed", "--order", "2",
+                     "--out-dir", str(out)]) == 0
+        assert read_coeffs_csv(out / "coefficients.csv").shape == (12, 2)
+
     def test_fixed_requires_order(self, tmp_path):
         src = tmp_path / "s.csv"
         write_series_csv(src, np.random.default_rng(0).normal(size=100))

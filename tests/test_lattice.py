@@ -46,6 +46,19 @@ class TestRunStage:
         assert np.array_equal(st.f_next[:m], x[:m])
         assert np.array_equal(st.b_next[-m:], x[-m:])
 
+    def test_batched_discounts_need_batched_series(self):
+        """Length-G discounts pair with the columns of a (T, G) series; a
+        1-D series against them is rejected rather than broadcast."""
+        x = np.random.default_rng(10).normal(size=40)
+        batch = DiscountPair(np.array([0.9, 0.95]), np.array([0.9, 0.95]))
+        with pytest.raises(ValueError, match=r"\(T, G\) series"):
+            run_stage(x, x, 1, batch, batch, NIGPrior())
+        cols = np.column_stack([x, x])
+        st = run_stage(cols, cols, 1, batch, batch, NIGPrior())
+        one = run_stage(x, x, 1, DiscountPair(0.95, 0.95),
+                        DiscountPair(0.95, 0.95), NIGPrior())
+        assert np.array_equal(st.f_next[:, 1], one.f_next)
+
     def test_rejects_bad_stage_index(self):
         x = np.zeros(10)
         d = DiscountPair(0.9, 0.9)
@@ -98,6 +111,12 @@ class TestRunLattice:
             assert np.array_equal(sa.alpha, sb.alpha)
             assert np.array_equal(sa.f_next, sb.f_next)
             assert sa.loglik == sb.loglik
+        # prefix consistency: a lower order is the first stages of a higher one
+        longer = run_lattice(x, 5, d, NIGPrior())
+        for sa, sl in zip(a.stages, longer.stages[:3]):
+            for name in ("alpha", "beta", "alpha_var", "beta_var", "sf2", "sb2",
+                         "f_next", "b_next", "loglik"):
+                assert np.array_equal(getattr(sa, name), getattr(sl, name))
 
     def test_rejects_bad_order_and_stage_list(self):
         x = np.zeros(20)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import blf.selection
 from blf.dlm import DiscountPair, NIGPrior, default_prior, forward_filter
-from blf.lattice import run_stage
+from blf.lattice import run_lattice, run_stage
 from blf.selection import (
     SearchGrid,
     fit_blfdyn,
@@ -130,6 +131,43 @@ class TestFitters:
         assert np.array_equal(a.fit.coeffs, b.fit.coeffs)
         assert np.array_equal(a.scree, b.scree)
         assert a.chosen_order == b.chosen_order
+
+    @pytest.mark.parametrize("fitter", [fit_blfdyn, fit_blffix])
+    def test_run_is_lattice_at_chosen_order(self, fitter):
+        """The report's run holds exactly the chosen stages, and they are the
+        smoothed lattice at the selected per-stage discounts, bit for bit."""
+        proc = gen_tvar2(400, seed=37)
+        rep = fitter(proc.x, grid=SMALL_GRID)
+        order = rep.chosen_order
+        assert rep.run.order == order
+        assert len(rep.per_stage_discounts) == len(rep.scree) == SMALL_GRID.p_max
+        ref = run_lattice(proc.x, order, rep.per_stage_discounts[:order],
+                          default_prior(proc.x))
+        for got, want in zip(rep.run.stages, ref.stages):
+            for name in ("alpha", "beta", "alpha_var", "beta_var", "sf2", "sb2",
+                         "f_next", "b_next", "loglik"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                    f"stage {got.m} {name}"
+
+    @pytest.mark.parametrize("fitter", [fit_blfdyn, fit_blffix])
+    def test_nonfinite_score_is_named(self, fitter, monkeypatch):
+        """A NaN in one grid column never wins the argmax: the search stops
+        and names the stage and the (gamma, delta) pair."""
+        real = blf.selection.predictive_loglik
+
+        def nan_in_column_3(fs):
+            ll = real(fs)
+            if np.ndim(ll):
+                ll = ll.copy()
+                ll[3] = np.nan
+            return ll
+
+        monkeypatch.setattr(blf.selection, "predictive_loglik", nan_in_column_3)
+        x = np.random.default_rng(38).normal(size=200)
+        pair = SMALL_GRID.pairs()[3]
+        with pytest.raises(ValueError, match=rf"m=1 .*\(gamma, delta\)="
+                           rf"\({pair.gamma}, {pair.delta}\)"):
+            fitter(x, grid=SMALL_GRID)
 
 
 class TestScreeTable:
