@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +61,10 @@ def _grid_from_args(args) -> SearchGrid:
     return SearchGrid(gammas=vals, deltas=vals, p_max=args.p_max)
 
 
-def _prior_from_args(args, x) -> NIGPrior:
-    base = default_prior(x)
-    kappa0 = base.kappa0 if args.prior_kappa0 is None else args.prior_kappa0
-    return NIGPrior(mu0=args.prior_mu0, c0=args.prior_c0, v0=args.prior_v0,
-                    kappa0=kappa0)
+def _prior_flags(args) -> dict:
+    """The prior hyperparameters set on the command line, by field name."""
+    given = {k: getattr(args, f"prior_{k}") for k in ("mu0", "c0", "v0", "kappa0")}
+    return {k: v for k, v in given.items() if v is not None}
 
 
 def _add_grid_args(p) -> None:
@@ -81,11 +81,11 @@ def _add_grid_args(p) -> None:
 
 
 def _add_prior_args(p) -> None:
-    p.add_argument("--prior-mu0", type=float, default=0.0,
+    p.add_argument("--prior-mu0", type=float, default=None,
                    help="prior coefficient mean")
-    p.add_argument("--prior-c0", type=float, default=1.0,
+    p.add_argument("--prior-c0", type=float, default=None,
                    help="prior coefficient scale")
-    p.add_argument("--prior-v0", type=float, default=1.0,
+    p.add_argument("--prior-v0", type=float, default=None,
                    help="prior degrees of freedom")
     p.add_argument("--prior-kappa0", type=float, default=None,
                    help="prior precision scale (default: sample variance of "
@@ -111,7 +111,7 @@ def cmd_fit(args) -> int:
             f"series of length {len(x)} is too short for p_max={args.p_max}"
         )
     grid = _grid_from_args(args)
-    prior = _prior_from_args(args, x)
+    prior = replace(default_prior(x), **_prior_flags(args))
 
     if args.method == "blfdyn":
         report = fit_blfdyn(x, grid=grid, prior=prior, tau=args.tau)
@@ -147,10 +147,12 @@ def cmd_fit(args) -> int:
 def cmd_benchmark(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     grid = _grid_from_args(args)
-    prior = None
-    if args.prior_kappa0 is not None:
-        prior = NIGPrior(mu0=args.prior_mu0, c0=args.prior_c0,
-                         v0=args.prior_v0, kappa0=args.prior_kappa0)
+    given = _prior_flags(args)
+    if given and "kappa0" not in given:
+        flags = ", ".join(f"--prior-{k}" for k in given)
+        raise ValueError(f"{flags} set without --prior-kappa0; blf benchmark "
+                         "takes each replicate's default prior from its own series")
+    prior = NIGPrior(**given) if given else None
     records = run_benchmark(
         args.process, args.n, methods, T=args.T, base_seed=args.seed,
         grid=grid, prior=prior, tau=args.tau, freq_step=args.freq_step,

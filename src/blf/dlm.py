@@ -88,7 +88,9 @@ class FilterState:
     posterior (shape v/2, rate kappa/2), ``s = kappa/v`` the variance point
     estimate, and ``e``/``q`` the one-step forecast error and its scale.
     ``updated`` marks times where an observation update actually happened;
-    elsewhere the posterior was carried forward unchanged.
+    elsewhere the posterior was carried forward unchanged.  ``gamma`` and
+    ``delta`` are the discounts the pass ran at (scalars, or length-G
+    arrays in batch mode); smoothing and sampling read them from here.
     """
 
     mu: np.ndarray
@@ -100,8 +102,8 @@ class FilterState:
     q: np.ndarray
     updated: np.ndarray
     prior: NIGPrior
-    gamma: np.ndarray = None
-    delta: np.ndarray = None
+    gamma: np.ndarray
+    delta: np.ndarray
 
     def __len__(self) -> int:
         return self.mu.shape[0]
@@ -241,8 +243,9 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> Filt
     )
 
 
-def backward_smooth(fs: FilterState, d: DiscountPair) -> SmoothState:
-    """Retrospective smoothing of a completed forward pass.
+def backward_smooth(fs: FilterState) -> SmoothState:
+    """Retrospective smoothing of a completed forward pass, at the discounts
+    ``fs.gamma``/``fs.delta`` the pass ran at.
 
     Initialised at t = T from the filtered values, then for t = T-1..1::
 
@@ -260,8 +263,7 @@ def backward_smooth(fs: FilterState, d: DiscountPair) -> SmoothState:
     update occurred the state did not evolve, so the smoothed quantities are
     copied backwards unchanged.
     """
-    gamma = np.asarray(d.gamma, dtype=float)
-    delta = np.asarray(d.delta, dtype=float)
+    gamma, delta = fs.gamma, fs.delta
     T = len(fs)
 
     mu = fs.mu.copy()
@@ -311,9 +313,10 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     return float(total) if np.ndim(total) == 0 else total
 
 
-def backward_sample(fs: FilterState, d: DiscountPair, rng: np.random.Generator,
+def backward_sample(fs: FilterState, rng: np.random.Generator,
                     size: int | None = None):
-    """Draw joint posterior paths (theta_1..T, sigma^2_1..T) given D_T.
+    """Draw joint posterior paths (theta_1..T, sigma^2_1..T) given D_T, at
+    the discounts ``fs.gamma``/``fs.delta`` the forward pass ran at.
 
     The precision path runs backwards through the standard discount-model
     construction: 1/sigma_T^2 ~ Gamma(v_T/2, rate kappa_T/2) and
@@ -334,7 +337,6 @@ def backward_sample(fs: FilterState, d: DiscountPair, rng: np.random.Generator,
     ----------
     fs : FilterState
         Completed forward pass over a 1-D series.
-    d : DiscountPair
     rng : numpy.random.Generator
     size : int, optional
         Number of independent paths; adds a trailing axis of length ``size``.
@@ -346,8 +348,7 @@ def backward_sample(fs: FilterState, d: DiscountPair, rng: np.random.Generator,
     if fs.mu.ndim != 1:
         raise ValueError("backward_sample expects a filter over a single series")
     T = len(fs)
-    gamma = float(np.asarray(d.gamma))
-    delta = float(np.asarray(d.delta))
+    gamma, delta = float(fs.gamma), float(fs.delta)
     shape = (T,) if size is None else (T, int(size))
 
     phi = np.empty(shape)

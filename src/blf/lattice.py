@@ -36,7 +36,8 @@ class StageResult:
     t-posteriors, ``sf2`` / ``sb2`` the smoothed innovation-variance paths,
     and ``f_next`` / ``b_next`` the prediction-error series for the next
     stage.  ``loglik`` is the one-step predictive log likelihood of the
-    forward regression.
+    forward regression.  ``filter_f`` / ``filter_b`` are the two forward
+    passes, which carry the stage's discounts.
     """
 
     m: int
@@ -49,10 +50,8 @@ class StageResult:
     f_next: np.ndarray
     b_next: np.ndarray
     loglik: float | np.ndarray
-    discounts_f: DiscountPair
-    discounts_b: DiscountPair
-    filter_f: FilterState = field(repr=False, default=None)
-    filter_b: FilterState = field(repr=False, default=None)
+    filter_f: FilterState = field(repr=False)
+    filter_b: FilterState = field(repr=False)
 
 
 @dataclass
@@ -92,7 +91,7 @@ def stage_regressors(f_prev: np.ndarray, b_prev: np.ndarray, m: int):
     return x_f, mask_f, x_b, mask_b
 
 
-def run_stage(f_prev, b_prev, m: int, d_f: DiscountPair, d_b: DiscountPair,
+def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
               prior: NIGPrior) -> StageResult:
     """Run lattice stage m on the order-(m-1) prediction-error series.
 
@@ -104,9 +103,10 @@ def run_stage(f_prev, b_prev, m: int, d_f: DiscountPair, d_b: DiscountPair,
         series: G columns are G independent stages.
     m : int
         Stage index, 1 <= m < T.
-    d_f, d_b : DiscountPair
-        Discounts for the forward and backward regressions: scalars, or
-        length-G arrays (one value per column) for a (T, G) batch.
+    d : DiscountPair
+        The stage's discounts, shared by the forward and backward
+        regressions: scalars, or length-G arrays (one value per column) for
+        a (T, G) batch.
     prior : NIGPrior
         Shared by both regressions.
 
@@ -124,10 +124,10 @@ def run_stage(f_prev, b_prev, m: int, d_f: DiscountPair, d_b: DiscountPair,
 
     x_f, mask_f, x_b, mask_b = stage_regressors(f_prev, b_prev, m)
 
-    fs_f = forward_filter(f_prev, x_f, prior, d_f, updated=mask_f)
-    sm_f = backward_smooth(fs_f, d_f)
-    fs_b = forward_filter(b_prev, x_b, prior, d_b, updated=mask_b)
-    sm_b = backward_smooth(fs_b, d_b)
+    fs_f = forward_filter(f_prev, x_f, prior, d, updated=mask_f)
+    sm_f = backward_smooth(fs_f)
+    fs_b = forward_filter(b_prev, x_b, prior, d, updated=mask_b)
+    sm_b = backward_smooth(fs_b)
     if sm_f.mu.shape != f_prev.shape or sm_b.mu.shape != b_prev.shape:
         raise ValueError("batched discounts need a (T, G) series, one column each")
 
@@ -144,45 +144,28 @@ def run_stage(f_prev, b_prev, m: int, d_f: DiscountPair, d_b: DiscountPair,
         sf2=sm_f.s, sb2=sm_b.s,
         f_next=f_next, b_next=b_next,
         loglik=predictive_loglik(fs_f),
-        discounts_f=d_f, discounts_b=d_b,
         filter_f=fs_f, filter_b=fs_b,
     )
-
-
-def _normalize_per_stage(per_stage, P: int) -> list[tuple[DiscountPair, DiscountPair]]:
-    if isinstance(per_stage, DiscountPair):
-        per_stage = [per_stage] * P
-    per_stage = list(per_stage)
-    if len(per_stage) != P:
-        raise ValueError(f"per_stage must have {P} entries, got {len(per_stage)}")
-    out = []
-    for entry in per_stage:
-        if isinstance(entry, DiscountPair):
-            out.append((entry, entry))
-        else:
-            d_f, d_b = entry
-            out.append((d_f, d_b))
-    return out
 
 
 def run_lattice(x, P: int, per_stage, prior: NIGPrior) -> LatticeRun:
     """Chain lattice stages m = 1..P starting from f0 = b0 = x.
 
-    ``per_stage`` is a sequence of P entries, each a DiscountPair (shared by
-    both regressions of the stage) or a (forward, backward) pair of them; a
-    single DiscountPair is broadcast to every stage.
+    ``per_stage`` is one DiscountPair, used at every stage, or a sequence
+    of P of them, one per stage.
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[0]
     if not 1 <= P < T:
         raise ValueError(f"order P={P} must satisfy 1 <= P < T={T}")
-    pairs = _normalize_per_stage(per_stage, P)
+    pairs = [per_stage] * P if isinstance(per_stage, DiscountPair) else list(per_stage)
+    if len(pairs) != P:
+        raise ValueError(f"per_stage must have {P} entries, got {len(pairs)}")
 
     stages: list[StageResult] = []
     f_prev, b_prev = x, x
-    for m in range(1, P + 1):
-        d_f, d_b = pairs[m - 1]
-        stage = run_stage(f_prev, b_prev, m, d_f, d_b, prior)
+    for m, d in enumerate(pairs, start=1):
+        stage = run_stage(f_prev, b_prev, m, d, prior)
         stages.append(stage)
         f_prev, b_prev = stage.f_next, stage.b_next
     return LatticeRun(stages=stages, x=x, prior=prior)

@@ -79,17 +79,26 @@ class SearchGrid:
 class SelectionReport:
     """Outcome of a selection run: scree, discounts, order and final fit.
 
-    ``run`` holds the ``chosen_order`` stages of the final model; for the
-    searches ``per_stage_discounts`` and ``scree`` stay ``p_max`` long.
+    ``run`` holds the stages of the final model, so ``chosen_order`` is
+    ``run.order``; for the searches ``per_stage_discounts`` and ``scree``
+    stay ``p_max`` long.
     """
 
     method: str
-    chosen_order: int
     per_stage_discounts: list[DiscountPair]
     scree: np.ndarray
     fit: TvarFit
+    run: LatticeRun = field(repr=False)
     saturated: bool = False
-    run: LatticeRun = field(repr=False, default=None)
+
+    @property
+    def chosen_order(self) -> int:
+        return self.run.order
+
+
+def _pct_change(scree: np.ndarray) -> np.ndarray:
+    """|(L_m - L_{m-1}) / L_{m-1}| * 100 for m = 2..len(scree)."""
+    return np.abs(np.diff(scree) / scree[:-1]) * 100.0
 
 
 def select_order(scree, tau: float = 0.5) -> int:
@@ -104,8 +113,7 @@ def select_order(scree, tau: float = 0.5) -> int:
         raise ValueError("need at least two scree values")
     if np.any(~np.isfinite(scree)) or np.any(scree == 0.0):
         raise ValueError("scree values must be finite and nonzero")
-    pct = np.abs((scree[1:] - scree[:-1]) / scree[:-1]) * 100.0
-    hits = np.nonzero(pct < tau)[0]
+    hits = np.nonzero(_pct_change(scree) < tau)[0]
     if hits.size == 0:
         return len(scree)
     return int(hits[0]) + 1
@@ -156,7 +164,7 @@ def _first_flattening(scree: np.ndarray) -> int:
     Fallback scree reading for when no change clears the threshold: the
     first stage where the relative gain stops shrinking marks the elbow.
     """
-    pct = np.abs((scree[1:] - scree[:-1]) / scree[:-1]) * 100.0
+    pct = _pct_change(scree)
     for i in range(len(pct) - 1):
         if pct[i] <= pct[i + 1]:
             return i + 1
@@ -168,12 +176,11 @@ def _report(method: str, run: LatticeRun, discounts: list[DiscountPair],
     """Report whose final model is every stage of ``run``."""
     return SelectionReport(
         method=method,
-        chosen_order=run.order,
         per_stage_discounts=discounts,
         scree=scree,
         fit=assemble_fit(run, run.order),
-        saturated=saturated,
         run=run,
+        saturated=saturated,
     )
 
 
@@ -184,14 +191,15 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     At each stage every grid pair is scored on the residuals fixed by the
     previously selected stages; the stage keeps the pair with the highest
     forward predictive log likelihood (ties to the earliest pair in gamma-
-    then-delta order).
+    then-delta order).  The smoothed stage at that pair feeds the next
+    stage; stage ``p_max`` is smoothed only if the order rule keeps it.
     """
     grid = SearchGrid() if grid is None else grid
     x = np.asarray(x, dtype=float)
     prior = default_prior(x) if prior is None else prior
     pairs, batch = _batched_pairs(grid)
 
-    stages = []
+    discounts, stages = [], []
     scree = np.empty(grid.p_max)
     f_prev, b_prev = x, x
     for m in range(1, grid.p_max + 1):
@@ -201,16 +209,20 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
         _require_finite(ll, batch, m)
         best = int(np.argmax(ll))
         scree[m - 1] = ll[best]
-        stages.append(run_stage(f_prev, b_prev, m, pairs[best], pairs[best], prior))
-        f_prev, b_prev = stages[-1].f_next, stages[-1].b_next
+        discounts.append(pairs[best])
+        if m < grid.p_max:
+            stages.append(run_stage(f_prev, b_prev, m, pairs[best], prior))
+            f_prev, b_prev = stages[-1].f_next, stages[-1].b_next
 
     if grid.p_max == 1:
         order, saturated = 1, True
     else:
         order = select_order(scree, tau)
         saturated = order == grid.p_max
+    if saturated:
+        stages.append(run_stage(f_prev, b_prev, grid.p_max, discounts[-1], prior))
     run = LatticeRun(stages=stages[:order], x=x, prior=prior)
-    return _report("blfdyn", run, [st.discounts_f for st in stages], scree, saturated)
+    return _report("blfdyn", run, discounts, scree, saturated)
 
 
 def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
@@ -263,10 +275,6 @@ def scree_table(report: SelectionReport) -> list[tuple[int, float, float | None]
 
     The percent-change column is None at the first stage.
     """
-    rows: list[tuple[int, float, float | None]] = []
-    prev = None
-    for m, val in enumerate(np.asarray(report.scree, dtype=float), start=1):
-        pct = None if prev is None else abs((val - prev) / prev) * 100.0
-        rows.append((m, float(val), pct))
-        prev = val
-    return rows
+    scree = np.asarray(report.scree, dtype=float)
+    pct = [None] + [float(p) for p in _pct_change(scree)]
+    return [(m, float(v), p) for m, (v, p) in enumerate(zip(scree, pct), start=1)]

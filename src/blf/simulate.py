@@ -161,10 +161,4 @@ def gen_tvvar(T: int, seed: int | None, variance_profile, coeff_profile) -> Simu
 
 def true_spectrum(p: SimulatedProcess, freqs=None) -> Spectrogram:
     """Exact time-varying spectrum of the generating parameters."""
-    fit = TvarFit(
-        P=p.true_coeffs.shape[1],
-        coeffs=p.true_coeffs,
-        sigma2=p.true_sigma2,
-        order_loglik=np.array([]),
-    )
-    return tvar_spectrum(fit, freqs)
+    return tvar_spectrum(TvarFit(coeffs=p.true_coeffs, sigma2=p.true_sigma2), freqs)

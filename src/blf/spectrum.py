@@ -27,8 +27,15 @@ __all__ = [
 
 
 def default_freq_grid(step: float = 0.005) -> np.ndarray:
-    """Evenly spaced frequencies 0, step, ..., 0.5 (101 points by default)."""
-    n = int(round(0.5 / step))
+    """Evenly spaced frequencies 0, step, ..., 0.5 (101 points by default).
+
+    ``step`` must lie in (0, 0.5] and divide 0.5 into a whole number of
+    intervals (to 1e-9 relative).
+    """
+    n = round(0.5 / step) if 0.0 < step <= 0.5 else 0
+    if n == 0 or abs(0.5 / step - n) > 1e-9 * n:
+        raise ValueError(f"frequency step must lie in (0, 0.5] and divide 0.5 "
+                         f"evenly, got {step}")
     return np.linspace(0.0, 0.5, n + 1)
 
 

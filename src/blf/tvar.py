@@ -21,15 +21,17 @@ __all__ = ["TvarFit", "parcor_to_tvar", "assemble_fit", "path_sampler"]
 class TvarFit:
     """Fitted TVAR model of order P.
 
-    ``coeffs`` is the T x P grid of lag coefficients, ``sigma2`` the
-    innovation-variance path (the stage-P smoothed forward variance), and
-    ``order_loglik`` the per-stage predictive log likelihoods L_1..L_P.
+    ``coeffs`` is the T x P grid of lag coefficients and ``sigma2`` the
+    innovation-variance path (the stage-P smoothed forward variance).  The
+    order P is the width of ``coeffs``.
     """
 
-    P: int
     coeffs: np.ndarray
     sigma2: np.ndarray
-    order_loglik: np.ndarray
+
+    @property
+    def P(self) -> int:
+        return self.coeffs.shape[1]
 
 
 def parcor_to_tvar(alpha, beta):
@@ -84,12 +86,7 @@ def assemble_fit(run: LatticeRun, P: int) -> TvarFit:
     alpha = np.stack([run.stages[m].alpha for m in range(P)], axis=-1)
     beta = np.stack([run.stages[m].beta for m in range(P)], axis=-1)
     coeffs, _ = parcor_to_tvar(alpha, beta)
-    return TvarFit(
-        P=P,
-        coeffs=coeffs,
-        sigma2=run.stages[P - 1].sf2.copy(),
-        order_loglik=run.scree[:P],
-    )
+    return TvarFit(coeffs=coeffs, sigma2=run.stages[P - 1].sf2.copy())
 
 
 def path_sampler(run: LatticeRun, P: int):
@@ -109,8 +106,8 @@ def path_sampler(run: LatticeRun, P: int):
         beta = np.empty((size, len(run.x), P))
         sigma2 = None
         for j, st in enumerate(stages):
-            th_f, s2_f = backward_sample(st.filter_f, st.discounts_f, rng, size=size)
-            th_b, _ = backward_sample(st.filter_b, st.discounts_b, rng, size=size)
+            th_f, s2_f = backward_sample(st.filter_f, rng, size=size)
+            th_b, _ = backward_sample(st.filter_b, rng, size=size)
             alpha[:, :, j] = th_f.T
             beta[:, :, j] = th_b.T
             if j == P - 1:

@@ -118,13 +118,11 @@ def test_criterion_5_piecear_benchmark():
 def test_criterion_6_spectrum_correctness():
     """Flat spectrum exact; AR(1) S(0)=100 to 1e-12; ASE identities exact."""
     T = 5
-    flat = TvarFit(P=1, coeffs=np.zeros((T, 1)), sigma2=np.ones(T),
-                   order_loglik=np.array([]))
+    flat = TvarFit(coeffs=np.zeros((T, 1)), sigma2=np.ones(T))
     spg = tvar_spectrum(flat, default_freq_grid())
     assert np.all(spg.values == 1.0)
 
-    ar1 = TvarFit(P=1, coeffs=np.full((T, 1), 0.9), sigma2=np.ones(T),
-                  order_loglik=np.array([]))
+    ar1 = TvarFit(coeffs=np.full((T, 1), 0.9), sigma2=np.ones(T))
     s0 = tvar_spectrum(ar1, np.array([0.0, 0.25])).values[:, 0]
     np.testing.assert_allclose(s0, 100.0, rtol=1e-12)
 
@@ -143,8 +141,8 @@ def test_criterion_7_sampler_consistency():
     T = 30
     d = DiscountPair(0.95, 0.95)
     fs = forward_filter(rng.normal(size=T), rng.normal(size=T), NIGPrior(), d)
-    sm = backward_smooth(fs, d)
-    theta, sigma2 = backward_sample(fs, d, np.random.default_rng(99), size=10000)
+    sm = backward_smooth(fs)
+    theta, sigma2 = backward_sample(fs, np.random.default_rng(99), size=10000)
     n = theta.shape[1]
 
     z_mean = (theta.mean(axis=1) - sm.mu) / (theta.std(axis=1) / np.sqrt(n))

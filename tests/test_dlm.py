@@ -66,7 +66,7 @@ class TestForwardFilter:
             prior = NIGPrior(0.0, rng.uniform(0.1, 2), rng.uniform(0.5, 3),
                              rng.uniform(0.1, 2))
             fs = forward_filter(y, x, prior, d)
-            sm = backward_smooth(fs, d)
+            sm = backward_smooth(fs)
             for arr in (fs.c, fs.s, fs.q, fs.v, sm.c, sm.s, sm.v):
                 assert np.all(arr > 0)
 
@@ -100,7 +100,7 @@ class TestForwardFilter:
 class TestBackwardSmooth:
     def test_single_step_equals_filter(self):
         fs = forward_filter([1.5], [0.7], NIGPrior(), DiscountPair(0.9, 0.9))
-        sm = backward_smooth(fs, DiscountPair(0.9, 0.9))
+        sm = backward_smooth(fs)
         assert sm.mu[0] == fs.mu[0]
         assert sm.c[0] == fs.c[0]
         assert sm.v[0] == fs.v[0]
@@ -110,7 +110,7 @@ class TestBackwardSmooth:
         rng = np.random.default_rng(4)
         fs = forward_filter(rng.normal(size=25), rng.normal(size=25),
                             NIGPrior(), STATIC)
-        sm = backward_smooth(fs, STATIC)
+        sm = backward_smooth(fs)
         assert np.all(sm.mu == fs.mu[-1])
         assert np.all(sm.s == fs.s[-1])
         assert np.all(sm.v == fs.v[-1])
@@ -120,7 +120,7 @@ class TestBackwardSmooth:
         d = DiscountPair(0.93, 0.9)
         fs = forward_filter(rng.normal(size=40), rng.normal(size=40),
                             NIGPrior(), d)
-        sm = backward_smooth(fs, d)
+        sm = backward_smooth(fs)
         assert sm.mu[-1] == fs.mu[-1]
         assert sm.c[-1] == fs.c[-1]
         assert sm.v[-1] == fs.v[-1]
@@ -134,12 +134,12 @@ class TestBackwardSmooth:
         d = DiscountPair(0.95, 0.95)
         fs = forward_filter(rng.normal(size=T), rng.normal(size=T),
                             NIGPrior(), d)
-        sm = backward_smooth(fs, d)
+        sm = backward_smooth(fs)
         assert np.all(sm.c <= 10.0 * fs.c)
         interior = slice(5, T - 5)
         assert np.mean(sm.c[interior] < fs.c[interior]) > 0.6
 
-        theta, _ = backward_sample(fs, d, np.random.default_rng(21), size=20000)
+        theta, _ = backward_sample(fs, np.random.default_rng(21), size=20000)
         mc_var = theta.var(axis=1)
         implied = sm.c * sm.v / (sm.v - 2.0)
         ratio = mc_var / implied
@@ -186,7 +186,7 @@ class TestBackwardSample:
         rng = np.random.default_rng(10)
         fs = forward_filter(rng.normal(size=15), rng.normal(size=15),
                             NIGPrior(), STATIC)
-        theta, sigma2 = backward_sample(fs, STATIC, np.random.default_rng(0))
+        theta, sigma2 = backward_sample(fs, np.random.default_rng(0))
         assert np.ptp(theta) == 0.0
         assert np.ptp(sigma2) == 0.0
 
@@ -198,8 +198,8 @@ class TestBackwardSample:
         d = DiscountPair(0.95, 0.95)
         fs = forward_filter(rng.normal(size=T), rng.normal(size=T),
                             NIGPrior(), d)
-        sm = backward_smooth(fs, d)
-        theta, sigma2 = backward_sample(fs, d, np.random.default_rng(99),
+        sm = backward_smooth(fs)
+        theta, sigma2 = backward_sample(fs, np.random.default_rng(99),
                                         size=10000)
         n = theta.shape[1]
         z_mean = (theta.mean(axis=1) - sm.mu) / (theta.std(axis=1) / np.sqrt(n))
@@ -215,7 +215,7 @@ class TestBackwardSample:
         d = DiscountPair(0.9, 0.9)
         fs = forward_filter(rng.normal(size=12), rng.normal(size=12),
                             NIGPrior(), d, updated=mask)
-        theta, sigma2 = backward_sample(fs, d, np.random.default_rng(1))
+        theta, sigma2 = backward_sample(fs, np.random.default_rng(1))
         assert theta[0] == theta[1] == theta[2]
         assert sigma2[0] == sigma2[1] == sigma2[2]
 
@@ -230,12 +230,12 @@ class TestBatchMode:
         deltas = np.array([0.85, 0.9, 1.0, 0.92, 0.88])
         batch = DiscountPair(gammas, deltas)
         fsb = forward_filter(y, x, NIGPrior(), batch)
-        smb = backward_smooth(fsb, batch)
+        smb = backward_smooth(fsb)
         llb = predictive_loglik(fsb)
         for g in range(G):
             d = DiscountPair(gammas[g], deltas[g])
             fs = forward_filter(y[:, g], x[:, g], NIGPrior(), d)
-            sm = backward_smooth(fs, d)
+            sm = backward_smooth(fs)
             assert np.array_equal(fs.mu, fsb.mu[:, g])
             assert np.array_equal(fs.kappa, fsb.kappa[:, g])
             assert np.array_equal(sm.mu, smb.mu[:, g])

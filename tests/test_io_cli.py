@@ -249,6 +249,31 @@ class TestCli:
         assert (serial / "replicates.csv").read_bytes() == \
                (pooled / "replicates.csv").read_bytes()
 
+    def test_benchmark_prior_flags_need_kappa0(self, tmp_path, capsys):
+        """Prior flags without --prior-kappa0 are named in an error instead of
+        being silently dropped; with it they reach every replicate's fit."""
+        args = ["benchmark", "tvar2", "--n", "1", "--T", "200",
+                "--methods", "blfdyn", "--p-max", "3",
+                "--grid-min", "0.96", "--grid-step", "0.04"]
+        assert main(args + ["--prior-c0", "50", "--prior-v0", "2",
+                            "--out-dir", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+        assert "--prior-c0, --prior-v0 set without --prior-kappa0" in err
+        assert not (tmp_path / "bad").exists()
+        for c0 in ("1", "50"):
+            assert main(args + ["--prior-kappa0", "1", "--prior-c0", c0,
+                                "--out-dir", str(tmp_path / c0)]) == 0
+        assert (tmp_path / "1" / "replicates.csv").read_bytes() != \
+               (tmp_path / "50" / "replicates.csv").read_bytes()
+
+    def test_fit_rejects_bad_freq_step(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_series_csv(src, np.random.default_rng(49).normal(size=100))
+        for step in ("0", "0.3"):
+            assert main(["fit", str(src), "--method", "fixed", "--order", "1",
+                         "--freq-step", step, "--out-dir", str(tmp_path)]) == 1
+            assert "frequency step" in capsys.readouterr().err
+
     def test_simulate_tvvar(self, tmp_path):
         out = tmp_path / "tvv"
         assert main(["simulate", "tvvar", "--T", "64", "--seed", "6",

@@ -20,7 +20,7 @@ class TestRunStage:
     def test_zero_series_gives_prior_path_and_zero_residuals(self):
         x = np.zeros(64)
         d = DiscountPair(0.95, 0.95)
-        st = run_stage(x, x, 1, d, d, NIGPrior())
+        st = run_stage(x, x, 1, d, NIGPrior())
         assert np.all(st.alpha == 0.0)
         assert np.all(st.f_next == 0.0)
         assert np.all(st.b_next == 0.0)
@@ -29,7 +29,7 @@ class TestRunStage:
         """Lag-1 PARCOR of a stationary AR(1) equals its coefficient."""
         x = ar1_series(0.9, 2000, seed=5)
         d = DiscountPair(0.999, 0.999)
-        st = run_stage(x, x, 1, d, d, default_prior(x))
+        st = run_stage(x, x, 1, d, default_prior(x))
         assert abs(st.alpha.mean() - 0.9) < 0.05
         # stationary case: forward and backward PARCOR paths agree
         assert np.max(np.abs(st.alpha - st.beta)) < 0.1
@@ -39,7 +39,7 @@ class TestRunStage:
         x = rng.normal(size=300)
         d = DiscountPair(0.95, 0.95)
         m = 2
-        st = run_stage(x, x, m, d, d, NIGPrior())
+        st = run_stage(x, x, m, d, NIGPrior())
         recon = st.f_next[m:] + st.alpha[m:] * x[:-m]
         np.testing.assert_allclose(recon, x[m:], rtol=1e-12, atol=1e-12)
         # boundary times pass the input through untouched
@@ -52,20 +52,19 @@ class TestRunStage:
         x = np.random.default_rng(10).normal(size=40)
         batch = DiscountPair(np.array([0.9, 0.95]), np.array([0.9, 0.95]))
         with pytest.raises(ValueError, match=r"\(T, G\) series"):
-            run_stage(x, x, 1, batch, batch, NIGPrior())
+            run_stage(x, x, 1, batch, NIGPrior())
         cols = np.column_stack([x, x])
-        st = run_stage(cols, cols, 1, batch, batch, NIGPrior())
-        one = run_stage(x, x, 1, DiscountPair(0.95, 0.95),
-                        DiscountPair(0.95, 0.95), NIGPrior())
+        st = run_stage(cols, cols, 1, batch, NIGPrior())
+        one = run_stage(x, x, 1, DiscountPair(0.95, 0.95), NIGPrior())
         assert np.array_equal(st.f_next[:, 1], one.f_next)
 
     def test_rejects_bad_stage_index(self):
         x = np.zeros(10)
         d = DiscountPair(0.9, 0.9)
         with pytest.raises(ValueError, match="1 <= m < T"):
-            run_stage(x, x, 10, d, d, NIGPrior())
+            run_stage(x, x, 10, d, NIGPrior())
         with pytest.raises(ValueError, match="1 <= m < T"):
-            run_stage(x, x, 0, d, d, NIGPrior())
+            run_stage(x, x, 0, d, NIGPrior())
 
 
 class TestRunLattice:

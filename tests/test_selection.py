@@ -14,7 +14,7 @@ from blf.selection import (
     scree_table,
     select_order,
 )
-from blf.simulate import gen_tvar2
+from blf.simulate import gen_tvar2, gen_tvar6
 from helpers import static_nig_posterior
 
 SMALL_GRID = SearchGrid(gammas=(0.9, 0.95, 1.0), deltas=(0.9, 0.95, 1.0), p_max=4)
@@ -89,9 +89,9 @@ class TestFitters:
         rep = fit_blfdyn(x, grid=SMALL_GRID)
         chosen = rep.per_stage_discounts[0]
         prior = default_prior(x)
-        st = run_stage(x, x, 1, chosen, chosen, prior)
+        st = run_stage(x, x, 1, chosen, prior)
         for pair in SMALL_GRID.pairs():
-            other = run_stage(x, x, 1, pair, pair, prior)
+            other = run_stage(x, x, 1, pair, prior)
             assert st.loglik >= other.loglik
 
     def test_white_noise_blffix_order_one(self):
@@ -135,19 +135,23 @@ class TestFitters:
     @pytest.mark.parametrize("fitter", [fit_blfdyn, fit_blffix])
     def test_run_is_lattice_at_chosen_order(self, fitter):
         """The report's run holds exactly the chosen stages, and they are the
-        smoothed lattice at the selected per-stage discounts, bit for bit."""
-        proc = gen_tvar2(400, seed=37)
-        rep = fitter(proc.x, grid=SMALL_GRID)
-        order = rep.chosen_order
-        assert rep.run.order == order
-        assert len(rep.per_stage_discounts) == len(rep.scree) == SMALL_GRID.p_max
-        ref = run_lattice(proc.x, order, rep.per_stage_discounts[:order],
-                          default_prior(proc.x))
-        for got, want in zip(rep.run.stages, ref.stages):
-            for name in ("alpha", "beta", "alpha_var", "beta_var", "sf2", "sb2",
-                         "f_next", "b_next", "loglik"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), \
-                    f"stage {got.m} {name}"
+        smoothed lattice at the selected per-stage discounts, bit for bit.
+        The TVAR6 case saturates, so blfdyn's run keeps stage p_max too."""
+        sat_grid = SearchGrid(SMALL_GRID.gammas, SMALL_GRID.deltas, p_max=3)
+        for proc, grid in ((gen_tvar2(400, seed=37), SMALL_GRID),
+                           (gen_tvar6(400, seed=37), sat_grid)):
+            rep = fitter(proc.x, grid=grid)
+            order = rep.chosen_order
+            assert rep.run.order == order
+            assert len(rep.per_stage_discounts) == len(rep.scree) == grid.p_max
+            assert rep.saturated or grid is not sat_grid
+            ref = run_lattice(proc.x, order, rep.per_stage_discounts[:order],
+                              default_prior(proc.x))
+            for got, want in zip(rep.run.stages, ref.stages):
+                for name in ("alpha", "beta", "alpha_var", "beta_var", "sf2",
+                             "sb2", "f_next", "b_next", "loglik"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                        f"stage {got.m} {name}"
 
     @pytest.mark.parametrize("fitter", [fit_blfdyn, fit_blffix])
     def test_nonfinite_score_is_named(self, fitter, monkeypatch):

@@ -18,12 +18,7 @@ from blf.tvar import TvarFit, path_sampler
 
 def const_fit(coeffs_row, sigma2=1.0, T=4):
     coeffs_row = np.atleast_1d(coeffs_row)
-    return TvarFit(
-        P=len(coeffs_row),
-        coeffs=np.tile(coeffs_row, (T, 1)),
-        sigma2=np.full(T, sigma2),
-        order_loglik=np.array([]),
-    )
+    return TvarFit(coeffs=np.tile(coeffs_row, (T, 1)), sigma2=np.full(T, sigma2))
 
 
 class TestTvarSpectrum:
@@ -72,6 +67,15 @@ class TestTvarSpectrum:
             Spectrogram(times=[1], freqs=[0.2, 0.1], values=[[1.0, 1.0]])
         with pytest.raises(ValueError, match="0, 1/2"):
             Spectrogram(times=[1], freqs=[0.2, 0.7], values=[[1.0, 1.0]])
+
+    def test_freq_step_must_divide_half(self):
+        """A step outside (0, 0.5] or one that does not divide 0.5 evenly is
+        rejected instead of dividing by zero or rounding the grid."""
+        np.testing.assert_array_equal(default_freq_grid(0.25), [0.0, 0.25, 0.5])
+        assert len(default_freq_grid(0.0025)) == 201
+        for bad in (0.0, -0.01, 0.3, 0.6, 0.0051, np.nan):
+            with pytest.raises(ValueError, match="frequency step"):
+                default_freq_grid(bad)
 
 
 class TestAse:

@@ -73,7 +73,6 @@ class TestAssembleFit:
         fit = assemble_fit(run, 3)
         assert np.array_equal(fit.coeffs[:, 2], run.stages[2].alpha)
         assert np.array_equal(fit.sigma2, run.stages[2].sf2)
-        assert fit.order_loglik.shape == (3,)
 
     def test_ar1_coefficient_recovery(self):
         rng = np.random.default_rng(19)
