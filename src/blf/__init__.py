@@ -3,80 +3,13 @@ time-frequency analysis."""
 
 __version__ = "0.1.0"
 
-from .dlm import (
-    DiscountPair,
-    FilterState,
-    NIGPrior,
-    SmoothState,
-    backward_sample,
-    backward_smooth,
-    default_prior,
-    forward_filter,
-    predictive_loglik,
-)
-from .lattice import LatticeRun, StageResult, run_lattice, run_stage
-from .selection import (
-    SearchGrid,
-    SelectionReport,
-    fit_blfdyn,
-    fit_blffix,
-    fit_fixed,
-    scree_table,
-    select_order,
-)
-from .simulate import (
-    SimulatedProcess,
-    gen_piecewise,
-    gen_tvar2,
-    gen_tvar6,
-    gen_tvvar,
-    roots_to_coeffs,
-    true_spectrum,
-)
-from .spectrum import (
-    Spectrogram,
-    ase,
-    default_freq_grid,
-    spectrum_posterior,
-    tvar_spectrum,
-)
-from .tvar import TvarFit, assemble_fit, parcor_to_tvar, path_sampler
+from . import dlm, lattice, selection, simulate, spectrum, tvar
+from .dlm import *
+from .lattice import *
+from .selection import *
+from .simulate import *
+from .spectrum import *
+from .tvar import *
 
-__all__ = [
-    "DiscountPair",
-    "FilterState",
-    "LatticeRun",
-    "NIGPrior",
-    "SearchGrid",
-    "SelectionReport",
-    "SimulatedProcess",
-    "SmoothState",
-    "Spectrogram",
-    "StageResult",
-    "TvarFit",
-    "ase",
-    "assemble_fit",
-    "backward_sample",
-    "backward_smooth",
-    "default_freq_grid",
-    "default_prior",
-    "fit_blfdyn",
-    "fit_blffix",
-    "fit_fixed",
-    "forward_filter",
-    "gen_piecewise",
-    "gen_tvar2",
-    "gen_tvar6",
-    "gen_tvvar",
-    "parcor_to_tvar",
-    "path_sampler",
-    "predictive_loglik",
-    "roots_to_coeffs",
-    "run_lattice",
-    "run_stage",
-    "scree_table",
-    "select_order",
-    "spectrum_posterior",
-    "true_spectrum",
-    "tvar_spectrum",
-]
+__all__ = sorted(name for mod in (dlm, lattice, selection, simulate, spectrum, tvar)
+                 for name in mod.__all__)

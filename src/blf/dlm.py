@@ -86,9 +86,9 @@ class FilterState:
     ``mu``/``c`` are the location and scale of the coefficient's marginal
     t-posterior, ``v``/``kappa`` the gamma parameters of the precision
     posterior (shape v/2, rate kappa/2), ``s = kappa/v`` the variance point
-    estimate, and ``e``/``q`` the one-step forecast error and its scale.
-    ``updated`` marks times where an observation update actually happened;
-    elsewhere the posterior was carried forward unchanged.  ``gamma`` and
+    estimate, and ``e``/``q`` the one-step forecast error and its scale at
+    every step.  ``updated`` marks times where the posterior also learned
+    from it; elsewhere it was carried forward unchanged.  ``gamma`` and
     ``delta`` are the discounts the pass ran at (scalars, or length-G
     arrays in batch mode); smoothing and sampling read them from here.
     """
@@ -150,7 +150,8 @@ def _validate_series(arr, name: str) -> np.ndarray:
 def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> FilterState:
     """Run the sequential conjugate updates over t = 1..T.
 
-    Per updated step::
+    Every step forecasts with the first three lines; an updated step then
+    learns with the rest::
 
         r = c_{t-1} / gamma
         q = r x_t^2 + s_{t-1}
@@ -173,9 +174,10 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> Filt
     d : DiscountPair
         ``gamma``/``delta`` may be scalars or length-G arrays in batch mode.
     updated : array_like of bool, shape (T,), optional
-        Steps where an observation update occurs.  At steps marked False the
-        posterior is carried forward with no discounting (used by the lattice
-        stages for boundary times where the lagged regressor does not exist).
+        Steps where an observation update occurs.  Elsewhere the forecast is
+        still recorded but the posterior is carried forward with no
+        discounting; the lattice stages mask the boundary times where the
+        lagged regressor does not exist (x_t = 0, so e_t = y_t).
 
     Returns
     -------
@@ -216,26 +218,22 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> Filt
     s_prev = kappa_prev / v_prev
 
     for t in range(T):
+        xt = x[t]
+        r = c_prev / gamma
+        qt = r * xt * xt + s_prev
+        et = y[t] - mu_prev * xt
         if updated[t]:
-            xt = x[t]
-            r = c_prev / gamma
-            qt = r * xt * xt + s_prev
-            et = y[t] - mu_prev * xt
             z = r * xt / qt
             mu_t = mu_prev + z * et
             v_t = delta * v_prev + 1.0
             kappa_t = delta * kappa_prev + s_prev * et * et / qt
             s_t = kappa_t / v_t
             c_t = r * s_t / qt
-        else:
-            qt = s_prev.copy()
-            et = np.zeros(shape)
-            mu_t, c_t, v_t, kappa_t, s_t = mu_prev, c_prev, v_prev, kappa_prev, s_prev
+            mu_prev, c_prev, v_prev, kappa_prev, s_prev = mu_t, c_t, v_t, kappa_t, s_t
 
         mu[t], c[t], v[t], kappa[t], s[t], e[t], q[t] = (
-            mu_t, c_t, v_t, kappa_t, s_t, et, qt,
+            mu_prev, c_prev, v_prev, kappa_prev, s_prev, et, qt,
         )
-        mu_prev, c_prev, v_prev, kappa_prev, s_prev = mu_t, c_t, v_t, kappa_t, s_t
 
     return FilterState(
         mu=mu, c=c, v=v, kappa=kappa, s=s, e=e, q=q,
@@ -328,10 +326,10 @@ def backward_sample(fs: FilterState, rng: np.random.Generator,
         theta_t | theta_{t+1} ~ N((1-gamma) mu_t + gamma theta_{t+1},
                                   (1-gamma) c_t sigma_t^2 / s_t),
 
-    whose marginal moments reproduce the smoothing recursions.  delta = 1
-    (gamma = 1) degenerate to deterministic carry-back of the variance
-    (coefficient).  Steps with no observation update carry the next sampled
-    value backwards unchanged.
+    whose marginal moments reproduce the smoothing recursions.  At delta = 1
+    the shock is Gamma(0, .), exactly 0 and drawn without touching ``rng``;
+    gamma = 1 likewise carries the coefficient back deterministically.  Steps
+    with no observation update carry the next sampled value back unchanged.
 
     Parameters
     ----------
@@ -357,8 +355,6 @@ def backward_sample(fs: FilterState, rng: np.random.Generator,
     phi[T - 1] = rng.gamma(fs.v[T - 1] / 2.0, 2.0 / fs.kappa[T - 1], size=shape[1:] or None)
     for t in range(T - 2, -1, -1):
         if not fs.updated[t + 1]:
-            phi[t] = phi[t + 1]
-        elif delta >= 1.0:
             phi[t] = phi[t + 1]
         else:
             shock = rng.gamma((1.0 - delta) * fs.v[t] / 2.0, 2.0 / fs.kappa[t],

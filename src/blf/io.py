@@ -44,25 +44,42 @@ def write_series_csv(path, x) -> None:
             w.writerow([fmt(v)])
 
 
-def read_series_csv(path) -> np.ndarray:
-    """Single numeric column, optional header row."""
-    values = []
+def _csv_rows(path) -> list[tuple[int, list[str]]]:
+    """The nonblank rows of a CSV file, each with its 1-based row number."""
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) != 1:
-                raise ValueError(f"{path}: row {i}: expected one column, got {len(row)}")
-            cell = row[0].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if i == 1:  # header
-                    continue
-                raise ValueError(f"{path}: row {i}: not a number: {cell!r}") from None
-    if not values:
+        return [(i, row) for i, row in enumerate(csv.reader(fh), start=1)
+                if any(c.strip() for c in row)]
+
+
+def _parse_rows(path, rows, width: int | None = None) -> np.ndarray:
+    """Rows of ``width`` numbers (default: the first row's width) as an
+    (n, width) array.  A ValueError names the file and the first row of
+    another width or with a cell that is not a number, or says there are
+    no rows."""
+    if not rows:
         raise ValueError(f"{path}: no numeric data")
-    return np.array(values)
+    width = len(rows[0][1]) if width is None else width
+    out = []
+    for i, row in rows:
+        if len(row) != width:
+            cols = "one column" if width == 1 else f"{width} columns"
+            raise ValueError(f"{path}: row {i}: expected {cols}, got {len(row)}")
+        try:
+            out.append([float(c) for c in row])
+        except ValueError as err:
+            raise ValueError(f"{path}: row {i}: {err}") from None
+    return np.array(out)
+
+
+def read_series_csv(path) -> np.ndarray:
+    """Single numeric column; a non-numeric first line is a header."""
+    rows = _csv_rows(path)
+    if rows and rows[0][0] == 1 and len(rows[0][1]) == 1:
+        try:
+            float(rows[0][1][0])
+        except ValueError:
+            rows = rows[1:]
+    return _parse_rows(path, rows, 1)[:, 0]
 
 
 def write_truth_csv(path, coeffs, sigma2) -> None:
@@ -89,9 +106,10 @@ def write_fit_csv(coeffs_path, variance_path, fit: TvarFit) -> None:
 
 
 def read_coeffs_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(c) for c in row[1:]] for row in rows[1:]])
+    """Coefficients of a ``write_fit_csv`` file: a header row, then rows of
+    t, a1..aP."""
+    rows = _csv_rows(path)
+    return _parse_rows(path, rows[1:], len(rows[0][1]) if rows else 0)[:, 1:]
 
 
 def write_spectrogram_csv(path, spg: Spectrogram, log_cells: bool = True) -> None:
@@ -106,13 +124,13 @@ def write_spectrogram_csv(path, spg: Spectrogram, log_cells: bool = True) -> Non
 
 
 def read_spectrogram_csv(path, log_cells: bool = True) -> Spectrogram:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    freqs = np.array([float(c) for c in rows[0]])
-    times = np.array([int(row[0]) for row in rows[1:]])
-    cells = np.array([[float(c) for c in row[1:]] for row in rows[1:]])
+    """Inverse of ``write_spectrogram_csv``."""
+    rows = _csv_rows(path)
+    freqs = _parse_rows(path, rows[:1])[0]
+    table = _parse_rows(path, rows[1:], len(freqs) + 1)
+    cells = table[:, 1:]
     values = np.exp(cells) if log_cells else cells
-    return Spectrogram(times=times, freqs=freqs, values=values)
+    return Spectrogram(times=table[:, 0].astype(int), freqs=freqs, values=values)
 
 
 def write_scree_csv(path, report: SelectionReport) -> None:

@@ -60,7 +60,6 @@ class LatticeRun:
 
     stages: list[StageResult]
     x: np.ndarray
-    prior: NIGPrior
 
     @property
     def order(self) -> int:
@@ -168,4 +167,4 @@ def run_lattice(x, P: int, per_stage, prior: NIGPrior) -> LatticeRun:
         stage = run_stage(f_prev, b_prev, m, d, prior)
         stages.append(stage)
         f_prev, b_prev = stage.f_next, stage.b_next
-    return LatticeRun(stages=stages, x=x, prior=prior)
+    return LatticeRun(stages=stages, x=x)

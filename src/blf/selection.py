@@ -105,12 +105,13 @@ def select_order(scree, tau: float = 0.5) -> int:
     """Order from the percent-change rule on stage log likelihoods.
 
     Returns the smallest m-1 such that |(L_m - L_{m-1}) / L_{m-1}| * 100
-    falls below ``tau``; if no m qualifies the rule saturates and the full
-    scree length is returned (callers flag this case).
+    falls below ``tau``; if no m qualifies (always so for a one-value
+    scree) the rule saturates and the full scree length is returned
+    (callers flag this case).
     """
     scree = np.asarray(scree, dtype=float)
-    if scree.size < 2:
-        raise ValueError("need at least two scree values")
+    if scree.size == 0:
+        raise ValueError("need at least one scree value")
     if np.any(~np.isfinite(scree)) or np.any(scree == 0.0):
         raise ValueError("scree values must be finite and nonzero")
     hits = np.nonzero(_pct_change(scree) < tau)[0]
@@ -139,10 +140,10 @@ def _causal_scree(x: np.ndarray, batch: DiscountPair, p_max: int,
                   prior: NIGPrior) -> np.ndarray:
     """Per-stage predictive log likelihoods of a causal lattice pass.
 
-    Stage outputs are the filters' one-step forecast errors (inputs carried
-    through unchanged at masked boundary times).  ``batch`` holds length-G
-    discount arrays, one column per grid pair; the result has shape
-    (p_max, G).
+    Stage outputs are the filters' one-step forecast errors; at masked
+    boundary times the regressor is 0, so the error is the input itself.
+    ``batch`` holds length-G discount arrays, one column per grid pair; the
+    result has shape (p_max, G).
     """
     G = np.size(batch.gamma)
     scree = np.empty((p_max, G))
@@ -153,8 +154,7 @@ def _causal_scree(x: np.ndarray, batch: DiscountPair, p_max: int,
         fs_b = forward_filter(b_prev, x_b, prior, batch, updated=mask_b)
         scree[m - 1] = predictive_loglik(fs_f)
         _require_finite(scree[m - 1], batch, m)
-        f_prev = np.where(mask_f[:, None], fs_f.e, f_prev)
-        b_prev = np.where(mask_b[:, None], fs_b.e, b_prev)
+        f_prev, b_prev = fs_f.e, fs_b.e
     return scree
 
 
@@ -214,14 +214,11 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
             stages.append(run_stage(f_prev, b_prev, m, pairs[best], prior))
             f_prev, b_prev = stages[-1].f_next, stages[-1].b_next
 
-    if grid.p_max == 1:
-        order, saturated = 1, True
-    else:
-        order = select_order(scree, tau)
-        saturated = order == grid.p_max
+    order = select_order(scree, tau)
+    saturated = order == grid.p_max
     if saturated:
         stages.append(run_stage(f_prev, b_prev, grid.p_max, discounts[-1], prior))
-    run = LatticeRun(stages=stages[:order], x=x, prior=prior)
+    run = LatticeRun(stages=stages[:order], x=x)
     return _report("blfdyn", run, discounts, scree, saturated)
 
 
@@ -248,9 +245,6 @@ def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     orders = np.empty(len(pairs), dtype=int)
     sats = np.empty(len(pairs), dtype=bool)
     for g in range(len(pairs)):
-        if grid.p_max == 1:
-            orders[g], sats[g] = 1, True
-            continue
         o = select_order(scree[:, g], tau)
         sats[g] = o == grid.p_max
         orders[g] = _first_flattening(scree[:, g]) if sats[g] else o

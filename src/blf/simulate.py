@@ -4,7 +4,8 @@ Each generator returns the realized series together with the generating
 coefficient grid and innovation-variance path, so estimated time-frequency
 surfaces can be scored against the exact ones.  Generators discard 200
 warm-up steps (simulated with the t=1 parameters, started at zero) so the
-retained series begins near its local stationary distribution.
+retained series begins near its local stationary distribution.  Every
+generator rejects a trajectory that explodes (|x_t| > 1e12).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 BURN_IN = 200
+EXPLOSION_LIMIT = 1e12
 
 
 @dataclass
@@ -44,7 +46,7 @@ class SimulatedProcess:
 
 
 def _simulate(coeffs: np.ndarray, sigma2: np.ndarray, rng: np.random.Generator,
-              label: str, explosion_limit: float | None = None) -> SimulatedProcess:
+              label: str) -> SimulatedProcess:
     """Drive x_t = sum_m coeffs[t, m] x_{t-m} + N(0, sigma2[t]) with warm-up."""
     T, P = coeffs.shape
     eps = rng.standard_normal(BURN_IN + T)
@@ -57,7 +59,7 @@ def _simulate(coeffs: np.ndarray, sigma2: np.ndarray, rng: np.random.Generator,
             if i - m >= 0:
                 past += full_coeffs[i, m - 1] * buf[i - m]
         buf[i] = past + full_sd[i] * eps[i]
-        if explosion_limit is not None and abs(buf[i]) > explosion_limit:
+        if abs(buf[i]) > EXPLOSION_LIMIT:
             t_bad = i - BURN_IN + 1
             raise ValueError(f"simulated series exploded at t={t_bad}")
     return SimulatedProcess(
@@ -143,7 +145,7 @@ def gen_tvvar(T: int, seed: int | None, variance_profile, coeff_profile) -> Simu
     """Simulate with caller-supplied time-varying coefficients and variances.
 
     Stands in for signals whose innovation variance is itself time
-    dependent.  Rejects explosive trajectories (|x_t| > 1e12).
+    dependent.
     """
     sigma2 = np.asarray(variance_profile, dtype=float)
     coeffs = np.asarray(coeff_profile, dtype=float)
@@ -155,8 +157,7 @@ def gen_tvvar(T: int, seed: int | None, variance_profile, coeff_profile) -> Simu
         raise ValueError("variance profile must be finite and positive")
     if np.any(~np.isfinite(coeffs)):
         raise ValueError("coefficient profile must be finite")
-    return _simulate(coeffs, sigma2, np.random.default_rng(seed), "TVVAR",
-                     explosion_limit=1e12)
+    return _simulate(coeffs, sigma2, np.random.default_rng(seed), "TVVAR")
 
 
 def true_spectrum(p: SimulatedProcess, freqs=None) -> Spectrogram:

@@ -146,21 +146,18 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
     freqs = default_freq_grid() if freqs is None else np.asarray(freqs, dtype=float)
     rng = np.random.default_rng() if rng is None else rng
 
-    # chunked Welford combine: exact zeros for degenerate posteriors
+    # Chan/Welford merge from zero draws: exact zeros for degenerate posteriors
     total = 0
-    mean_log = m2 = None
+    mean_log = m2 = 0.0
     while total < n_draws:
         size = min(chunk, n_draws - total)
         coeffs, sigma2 = draw_paths(rng, size)
         logs = np.log(_ar_density(coeffs, sigma2, freqs))
         cmean = logs.mean(axis=0)
         cm2 = ((logs - cmean) ** 2).sum(axis=0)
-        if mean_log is None:
-            mean_log, m2 = cmean, cm2
-        else:
-            delta = cmean - mean_log
-            mean_log = mean_log + delta * (size / (total + size))
-            m2 = m2 + cm2 + delta**2 * (total * size / (total + size))
+        delta = cmean - mean_log
+        mean_log = mean_log + delta * (size / (total + size))
+        m2 = m2 + cm2 + delta**2 * (total * size / (total + size))
         total += size
 
     var_log = m2 / (total - 1)

@@ -104,15 +104,12 @@ def path_sampler(run: LatticeRun, P: int):
     def draw(rng: np.random.Generator, size: int):
         alpha = np.empty((size, len(run.x), P))
         beta = np.empty((size, len(run.x), P))
-        sigma2 = None
         for j, st in enumerate(stages):
             th_f, s2_f = backward_sample(st.filter_f, rng, size=size)
             th_b, _ = backward_sample(st.filter_b, rng, size=size)
             alpha[:, :, j] = th_f.T
             beta[:, :, j] = th_b.T
-            if j == P - 1:
-                sigma2 = s2_f.T
         coeffs, _ = parcor_to_tvar(alpha, beta)
-        return coeffs, sigma2
+        return coeffs, s2_f.T  # the stage-P forward variance path
 
     return draw

@@ -48,6 +48,25 @@ class TestForwardFilter:
         assert fs.q[1] == fs.s[0]
         assert fs.e[1] == y[1]
 
+    def test_masked_prefix_forecasts_without_learning(self):
+        """Steps with updated=False (a lattice stage's first m times, where
+        x_t = 0) record the forecast, e = y and q = the carried s, while the
+        posterior stays at the prior."""
+        prior = NIGPrior(0.5, 1.0, 2.0, 3.0)
+        rng = np.random.default_rng(12)
+        y = rng.normal(size=10)
+        x = rng.normal(size=10)
+        x[:3] = 0.0
+        fs = forward_filter(y, x, prior, DiscountPair(0.9, 0.95),
+                            updated=np.arange(10) >= 3)
+        np.testing.assert_array_equal(fs.e[:3], y[:3])
+        np.testing.assert_array_equal(fs.q[:3], fs.s[:3])
+        for name, value in (("mu", prior.mu0), ("c", prior.c0), ("v", prior.v0),
+                            ("kappa", prior.kappa0), ("s", prior.s0)):
+            assert np.all(getattr(fs, name)[:3] == value), name
+        assert fs.e[3] == y[3] - prior.mu0 * x[3]
+        assert fs.mu[3] != prior.mu0
+
     def test_reduction_identity(self):
         """c_{t-1}/gamma equals c_{t-1} + c_{t-1}(1-gamma)/gamma."""
         rng = np.random.default_rng(2)

@@ -88,6 +88,32 @@ class TestSpectrogramCsv:
         np.testing.assert_array_equal(back.values, spg.values)
 
 
+class TestCsvValidation:
+    @pytest.mark.parametrize("reader, text, match", [
+        (read_spectrogram_csv, "", "no numeric data"),
+        (read_spectrogram_csv, "0,0.25,0.5\n", "no numeric data"),
+        (read_spectrogram_csv, "0,0.25,0.5\n1,0.1,0.2,0.3\n2,0.1,0.2\n",
+         "row 3: expected 4 columns, got 3"),
+        (read_spectrogram_csv, "0,0.25,0.5\n1,0.1,oops,0.3\n", "row 2: .*'oops'"),
+        (read_spectrogram_csv, "0,0.25,x\n1,0.1,0.2,0.3\n", "row 1: .*'x'"),
+        (read_coeffs_csv, "", "no numeric data"),
+        (read_coeffs_csv, "t,a1,a2\n", "no numeric data"),
+        (read_coeffs_csv, "t,a1,a2\n1,0.5,0.1\n\n3,0.5\n",
+         "row 4: expected 3 columns, got 2"),
+        (read_coeffs_csv, "t,a1\n1,0.5,0.1\n", "row 2: expected 2 columns, got 3"),
+        (read_coeffs_csv, "t,a1,a2\n1,0.5,oops\n", "row 2: .*'oops'"),
+        (read_series_csv, "x\n", "no numeric data"),
+    ])
+    def test_bad_rows_are_named(self, tmp_path, reader, text, match):
+        """Every reader names the file and the 1-based row of a ragged or
+        non-numeric row, and refuses a file without data rows."""
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as err:
+            reader(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+
 @pytest.fixture(scope="module")
 def report():
     rng = np.random.default_rng(44)

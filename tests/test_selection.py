@@ -43,8 +43,7 @@ class TestSelectOrder:
     def test_rejects_zero_and_short(self):
         with pytest.raises(ValueError, match="nonzero"):
             select_order([-10.0, 0.0, -5.0], 0.5)
-        with pytest.raises(ValueError, match="two"):
-            select_order([-10.0], 0.5)
+        assert select_order([-10.0], 0.5) == 1
 
 
 class TestSearchGrid:
@@ -136,15 +135,18 @@ class TestFitters:
     def test_run_is_lattice_at_chosen_order(self, fitter):
         """The report's run holds exactly the chosen stages, and they are the
         smoothed lattice at the selected per-stage discounts, bit for bit.
-        The TVAR6 case saturates, so blfdyn's run keeps stage p_max too."""
+        The TVAR6 case saturates, so blfdyn's run keeps stage p_max too; a
+        p_max=1 grid always saturates at order 1."""
         sat_grid = SearchGrid(SMALL_GRID.gammas, SMALL_GRID.deltas, p_max=3)
+        one_grid = SearchGrid(SMALL_GRID.gammas, SMALL_GRID.deltas, p_max=1)
         for proc, grid in ((gen_tvar2(400, seed=37), SMALL_GRID),
-                           (gen_tvar6(400, seed=37), sat_grid)):
+                           (gen_tvar6(400, seed=37), sat_grid),
+                           (gen_tvar2(400, seed=37), one_grid)):
             rep = fitter(proc.x, grid=grid)
             order = rep.chosen_order
             assert rep.run.order == order
             assert len(rep.per_stage_discounts) == len(rep.scree) == grid.p_max
-            assert rep.saturated or grid is not sat_grid
+            assert rep.saturated or grid is SMALL_GRID
             ref = run_lattice(proc.x, order, rep.per_stage_discounts[:order],
                               default_prior(proc.x))
             for got, want in zip(rep.run.stages, ref.stages):
