@@ -106,10 +106,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     x = read_series_csv(args.input)
-    if args.method != "fixed" and len(x) < args.p_max + 2:
-        raise ValueError(
-            f"series of length {len(x)} is too short for p_max={args.p_max}"
-        )
     grid = _grid_from_args(args)
     prior = replace(default_prior(x), **_prior_flags(args))
 

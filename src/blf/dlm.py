@@ -15,6 +15,9 @@ All routines accept ``y``/``x`` of shape ``(T,)`` or ``(T, G)``; in the
 latter case column g is an independent regression problem and ``gamma`` or
 ``delta`` may be arrays of shape ``(G,)``.  This batch form is what makes
 discount-grid searches cheap.
+
+Smoothing and sampling run every backward recurrence y_t = a_t y_{t+1} + b_t
+through one kernel; a step that did not learn has a_t = 1 and b_t = 0.
 """
 
 from __future__ import annotations
@@ -241,45 +244,52 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> Filt
     )
 
 
+def _step_discounts(fs: FilterState) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step discounts (gamma_t, delta_t), t = 0..T-2: the filter's where
+    step t+1 learned, else 1, a unit-discount step that carries values back."""
+    learned = fs.updated[1:].reshape((-1,) + (1,) * (fs.mu.ndim - 1))
+    return np.where(learned, fs.gamma, 1.0), np.where(learned, fs.delta, 1.0)
+
+
+def _backward(a: np.ndarray, b: np.ndarray, last) -> np.ndarray:
+    """``y[T-1] = last``, then ``y[t] = a[t] y[t+1] + b[t]`` for t = T-2..0."""
+    y = np.empty((len(b) + 1,) + np.broadcast_shapes(np.shape(last), b.shape[1:]))
+    y[-1] = last
+    for t in range(len(b) - 1, -1, -1):
+        y[t] = a[t] * y[t + 1] + b[t]
+    return y
+
+
 def backward_smooth(fs: FilterState) -> SmoothState:
     """Retrospective smoothing of a completed forward pass, at the discounts
     ``fs.gamma``/``fs.delta`` the pass ran at.
 
     Initialised at t = T from the filtered values, then for t = T-1..1::
 
-        mu_{t|T}  = (1-gamma) mu_t + gamma mu_{t+1|T}
-        1/s_{t|T} = (1-delta)/s_t + delta/s_{t+1|T}
-        v_{t|T}   = (1-delta) v_t + delta v_{t+1|T}
-        C*_{t|T}  = (1-gamma) c_t/s_t + gamma^2 C*_{t+1|T}
+        mu_{t|T}  = gamma_t mu_{t+1|T} + (1-gamma_t) mu_t
+        1/s_{t|T} = delta_t / s_{t+1|T} + (1-delta_t) / s_t
+        v_{t|T}   = delta_t v_{t+1|T} + (1-delta_t) v_t
+        C*_{t|T}  = gamma_t^2 C*_{t+1|T} + (1-gamma_t) c_t / s_t
         c_{t|T}   = C*_{t|T} s_{t|T}
         kappa_{t|T} = v_{t|T} s_{t|T}
 
     The coefficient-scale recursion runs on the scale-free variance factor
     C* = c/s and re-attaches the smoothed variance estimate once per time
     point; folding the ratio s_{t|T}/s_t into the recursion itself would
-    compound it backwards and blow the scale up.  Across a step where no
-    update occurred the state did not evolve, so the smoothed quantities are
-    copied backwards unchanged.
+    compound it backwards and blow the scale up.  Where step t+1 did not
+    learn, gamma_t = delta_t = 1 and the smoothed values carry back
+    unchanged.  The t = T rows of ``s`` and ``c`` are the filter's own.
     """
-    gamma, delta = fs.gamma, fs.delta
-    T = len(fs)
-
-    mu = fs.mu.copy()
-    v = fs.v.copy()
-    s = fs.s.copy()
-    cstar = fs.c / fs.s
-
-    for t in range(T - 2, -1, -1):
-        if fs.updated[t + 1]:
-            mu[t] = (1.0 - gamma) * fs.mu[t] + gamma * mu[t + 1]
-            s[t] = 1.0 / ((1.0 - delta) / fs.s[t] + delta / s[t + 1])
-            v[t] = (1.0 - delta) * fs.v[t] + delta * v[t + 1]
-            cstar[t] = (1.0 - gamma) * fs.c[t] / fs.s[t] + gamma**2 * cstar[t + 1]
-        else:
-            mu[t], s[t], v[t], cstar[t] = mu[t + 1], s[t + 1], v[t + 1], cstar[t + 1]
-
+    gamma, delta = _step_discounts(fs)
+    s_t = fs.s[:-1]
+    mu = _backward(gamma, (1.0 - gamma) * fs.mu[:-1], fs.mu[-1])
+    v = _backward(delta, (1.0 - delta) * fs.v[:-1], fs.v[-1])
+    prec = _backward(delta, (1.0 - delta) / s_t, 1.0 / fs.s[-1])
+    cstar = _backward(gamma**2, (1.0 - gamma) * fs.c[:-1] / s_t, fs.c[-1] / fs.s[-1])
+    s = 1.0 / prec
+    s[-1] = fs.s[-1]
     c = cstar * s
-    c[T - 1] = fs.c[T - 1]  # boundary bit-for-bit with the filtered value
+    c[-1] = fs.c[-1]
     return SmoothState(mu=mu, c=c, v=v, s=s, kappa=v * s)
 
 
@@ -311,67 +321,56 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     return float(total) if np.ndim(total) == 0 else total
 
 
-def backward_sample(fs: FilterState, rng: np.random.Generator,
-                    size: int | None = None):
+def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
     """Draw joint posterior paths (theta_1..T, sigma^2_1..T) given D_T, at
     the discounts ``fs.gamma``/``fs.delta`` the forward pass ran at.
 
     The precision path runs backwards through the standard discount-model
     construction: 1/sigma_T^2 ~ Gamma(v_T/2, rate kappa_T/2) and
 
-        1/sigma_t^2 = delta / sigma_{t+1}^2 + Gamma((1-delta) v_t / 2, rate kappa_t / 2).
+        1/sigma_t^2 = delta_t/sigma_{t+1}^2 + Gamma((1-delta_t) v_t/2, rate kappa_t/2).
 
     Conditional on the variances, theta_T ~ N(mu_T, c_T sigma_T^2 / s_T) and
 
-        theta_t | theta_{t+1} ~ N((1-gamma) mu_t + gamma theta_{t+1},
-                                  (1-gamma) c_t sigma_t^2 / s_t),
+        theta_t | theta_{t+1} ~ N((1-gamma_t) mu_t + gamma_t theta_{t+1},
+                                  (1-gamma_t) c_t sigma_t^2 / s_t),
 
-    whose marginal moments reproduce the smoothing recursions.  At delta = 1
-    the shock is Gamma(0, .), exactly 0 and drawn without touching ``rng``;
-    gamma = 1 likewise carries the coefficient back deterministically.  Steps
-    with no observation update carry the next sampled value back unchanged.
+    whose marginal moments reproduce the smoothing recursions.  A step that
+    did not learn has gamma_t = delta_t = 1 and carries the next sampled
+    value back unchanged.  All draws are made up front, in four generator
+    calls: 1/sigma_T^2, every precision shock in backward-pass order,
+    theta_T's normal, then the normals of the steps with gamma_t < 1.  A
+    shock of shape 0 (delta_t = 1) is exactly 0 and uses no generator state.
 
     Parameters
     ----------
     fs : FilterState
         Completed forward pass over a 1-D series.
     rng : numpy.random.Generator
-    size : int, optional
-        Number of independent paths; adds a trailing axis of length ``size``.
+    size : int
+        Number of independent paths, the trailing axis of the output.
 
     Returns
     -------
-    (theta_path, sigma2_path) : ndarray pairs of shape (T,) or (T, size)
+    (theta_path, sigma2_path) : ndarray pair of shape (T, size)
     """
     if fs.mu.ndim != 1:
         raise ValueError("backward_sample expects a filter over a single series")
-    T = len(fs)
-    gamma, delta = float(fs.gamma), float(fs.delta)
-    shape = (T,) if size is None else (T, int(size))
+    gamma, delta = _step_discounts(fs)
 
-    phi = np.empty(shape)
-    theta = np.empty(shape)
+    phi_T = rng.gamma(fs.v[-1] / 2.0, 2.0 / fs.kappa[-1], size=size)
+    shocks = rng.gamma(((1.0 - delta) * fs.v[:-1] / 2.0)[::-1, None],
+                       (2.0 / fs.kappa[:-1])[::-1, None], size=(len(delta), size))[::-1]
+    z_T = rng.standard_normal(size)
+    z = np.zeros(shocks.shape)
+    learns = np.flatnonzero(gamma < 1.0)[::-1]
+    z[learns] = rng.standard_normal((learns.size, size))
 
-    phi[T - 1] = rng.gamma(fs.v[T - 1] / 2.0, 2.0 / fs.kappa[T - 1], size=shape[1:] or None)
-    for t in range(T - 2, -1, -1):
-        if not fs.updated[t + 1]:
-            phi[t] = phi[t + 1]
-        else:
-            shock = rng.gamma((1.0 - delta) * fs.v[t] / 2.0, 2.0 / fs.kappa[t],
-                              size=shape[1:] or None)
-            phi[t] = delta * phi[t + 1] + shock
-    sigma2 = 1.0 / phi
-
-    sd_T = np.sqrt(fs.c[T - 1] / fs.s[T - 1] * sigma2[T - 1])
-    theta[T - 1] = fs.mu[T - 1] + sd_T * rng.standard_normal(shape[1:] or None)
-    for t in range(T - 2, -1, -1):
-        if not fs.updated[t + 1]:
-            theta[t] = theta[t + 1]
-        elif gamma >= 1.0:
-            theta[t] = theta[t + 1]
-        else:
-            mean = (1.0 - gamma) * fs.mu[t] + gamma * theta[t + 1]
-            sd = np.sqrt((1.0 - gamma) * fs.c[t] / fs.s[t] * sigma2[t])
-            theta[t] = mean + sd * rng.standard_normal(shape[1:] or None)
-
-    return theta, sigma2
+    # Work in place: every (T, size) temporary adds to peak memory.
+    sigma2 = _backward(delta, shocks, phi_T)
+    np.divide(1.0, sigma2, out=sigma2)
+    theta_T = fs.mu[-1] + np.sqrt(fs.c[-1] / fs.s[-1] * sigma2[-1]) * z_T
+    var = ((1.0 - gamma) * fs.c[:-1] / fs.s[:-1])[:, None]
+    z *= np.sqrt(np.multiply(var, sigma2[:-1], out=shocks), out=shocks)
+    z += ((1.0 - gamma) * fs.mu[:-1])[:, None]  # offsets (1-gamma_t) mu_t + sd_t z_t
+    return _backward(gamma, z, theta_T), sigma2

@@ -120,6 +120,17 @@ def select_order(scree, tau: float = 0.5) -> int:
     return int(hits[0]) + 1
 
 
+def _search_inputs(x, grid: SearchGrid | None,
+                   prior: NIGPrior | None) -> tuple[SearchGrid, np.ndarray, NIGPrior]:
+    """Defaults and the series-length rule shared by both searches."""
+    grid = SearchGrid() if grid is None else grid
+    x = np.asarray(x, dtype=float)
+    if grid.p_max >= len(x):
+        raise ValueError(f"series of length T={len(x)} is too short for "
+                         f"p_max={grid.p_max}; the searches need p_max < T")
+    return grid, x, default_prior(x) if prior is None else prior
+
+
 def _batched_pairs(grid: SearchGrid) -> tuple[list[DiscountPair], DiscountPair]:
     pairs = grid.pairs()
     gam = np.array([p.gamma for p in pairs])
@@ -194,9 +205,7 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     then-delta order).  The smoothed stage at that pair feeds the next
     stage; stage ``p_max`` is smoothed only if the order rule keeps it.
     """
-    grid = SearchGrid() if grid is None else grid
-    x = np.asarray(x, dtype=float)
-    prior = default_prior(x) if prior is None else prior
+    grid, x, prior = _search_inputs(x, grid, prior)
     pairs, batch = _batched_pairs(grid)
 
     discounts, stages = [], []
@@ -236,9 +245,7 @@ def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     lower-triangular transform, so the final selected stage's predictive
     density is the model's data density.
     """
-    grid = SearchGrid() if grid is None else grid
-    x = np.asarray(x, dtype=float)
-    prior = default_prior(x) if prior is None else prior
+    grid, x, prior = _search_inputs(x, grid, prior)
     pairs, batch = _batched_pairs(grid)
 
     scree = _causal_scree(x, batch, grid.p_max, prior)

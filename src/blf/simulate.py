@@ -60,8 +60,10 @@ def _simulate(coeffs: np.ndarray, sigma2: np.ndarray, rng: np.random.Generator,
                 past += full_coeffs[i, m - 1] * buf[i - m]
         buf[i] = past + full_sd[i] * eps[i]
         if abs(buf[i]) > EXPLOSION_LIMIT:
-            t_bad = i - BURN_IN + 1
-            raise ValueError(f"simulated series exploded at t={t_bad}")
+            if i < BURN_IN:
+                raise ValueError(f"simulated series exploded during warm-up step "
+                                 f"{i + 1} of {BURN_IN} (before t=1)")
+            raise ValueError(f"simulated series exploded at t={i - BURN_IN + 1}")
     return SimulatedProcess(
         x=buf[BURN_IN:], true_coeffs=coeffs, true_sigma2=np.asarray(sigma2, float),
         label=label,

@@ -205,7 +205,7 @@ class TestBackwardSample:
         rng = np.random.default_rng(10)
         fs = forward_filter(rng.normal(size=15), rng.normal(size=15),
                             NIGPrior(), STATIC)
-        theta, sigma2 = backward_sample(fs, np.random.default_rng(0))
+        theta, sigma2 = backward_sample(fs, np.random.default_rng(0), size=1)
         assert np.ptp(theta) == 0.0
         assert np.ptp(sigma2) == 0.0
 
@@ -234,7 +234,7 @@ class TestBackwardSample:
         d = DiscountPair(0.9, 0.9)
         fs = forward_filter(rng.normal(size=12), rng.normal(size=12),
                             NIGPrior(), d, updated=mask)
-        theta, sigma2 = backward_sample(fs, np.random.default_rng(1))
+        theta, sigma2 = backward_sample(fs, np.random.default_rng(1), size=1)
         assert theta[0] == theta[1] == theta[2]
         assert sigma2[0] == sigma2[1] == sigma2[2]
 

@@ -232,6 +232,15 @@ class TestCli:
         write_series_csv(src, np.arange(5.0))
         assert main(["fit", str(src), "--out-dir", str(tmp_path)]) == 1
 
+    def test_fit_accepts_p_max_one_below_length(self, tmp_path):
+        """The searches' length rule is p_max < T, so T = p_max + 1 fits."""
+        src = tmp_path / "short.csv"
+        write_series_csv(src, np.random.default_rng(49).normal(size=5))
+        out = tmp_path / "out"
+        assert main(["fit", str(src), "--p-max", "4", "--grid-min", "0.9",
+                     "--grid-step", "0.05", "--out-dir", str(out)]) == 0
+        assert read_coeffs_csv(out / "coefficients.csv").shape[0] == 5
+
     def test_fit_fixed_short_series_ignores_p_max(self, tmp_path):
         """The p_max length guard applies to the searches only."""
         src = tmp_path / "short.csv"

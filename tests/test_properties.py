@@ -1,0 +1,94 @@
+"""Invariants of the model checked as properties over generated inputs.
+
+Negating the series or scaling it by a power of two changes every
+intermediate value by an exact sign or power of two, so PARCOR paths,
+orders and coefficients must come back bit for bit, and variances must
+scale by exactly 4^j.  Batch filtering and smoothing must equal the scalar
+runs column by column.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from blf.dlm import (  # noqa: E402
+    DiscountPair,
+    NIGPrior,
+    backward_smooth,
+    forward_filter,
+)
+from blf.selection import SearchGrid, fit_blfdyn, fit_blffix, fit_fixed  # noqa: E402
+from blf.simulate import gen_tvar2, gen_tvar6  # noqa: E402
+from blf.tvar import path_sampler  # noqa: E402
+
+GRID = SearchGrid(gammas=(0.9, 0.95, 1.0), deltas=(0.9, 0.95, 1.0), p_max=4)
+PAIRS = [DiscountPair(0.95, 1.0), DiscountPair(1.0, 1.0), DiscountPair(1.0, 0.9),
+         DiscountPair(0.98, 0.97)]
+
+seeds = st.integers(0, 2**16)
+discount = st.sampled_from([0.8, 0.9, 0.95, 0.99, 1.0])
+series = st.builds(lambda gen, T, seed: gen(T, seed=seed).x,
+                   st.sampled_from([gen_tvar2, gen_tvar6]), st.integers(60, 240), seeds)
+
+
+def _fixed(x, d, order):
+    """PARCOR paths, sigma^2 and 8 joint posterior draws of a fixed fit."""
+    rep = fit_fixed(x, d, order)
+    coeffs, sigma2 = path_sampler(rep.run, order)(np.random.default_rng(0), 8)
+    alpha = np.array([stage.alpha for stage in rep.run.stages])
+    beta = np.array([stage.beta for stage in rep.run.stages])
+    return rep, alpha, beta, coeffs, sigma2
+
+
+@given(x=series, fitter=st.sampled_from([fit_blfdyn, fit_blffix]))
+def test_searches_sign_invariant(x, fitter):
+    a, b = fitter(x, grid=GRID), fitter(-x, grid=GRID)
+    assert a.chosen_order == b.chosen_order
+    assert np.array_equal(a.scree, b.scree)
+    assert np.array_equal(a.fit.coeffs, b.fit.coeffs)
+
+
+@given(x=series, d=st.sampled_from(PAIRS), order=st.integers(1, 4))
+def test_fixed_fit_sign_invariant(x, d, order):
+    rep, alpha, beta, coeffs, sigma2 = _fixed(x, d, order)
+    rep_n, alpha_n, beta_n, coeffs_n, sigma2_n = _fixed(-x, d, order)
+    assert np.array_equal(alpha, alpha_n) and np.array_equal(beta, beta_n)
+    assert np.array_equal(rep.fit.sigma2, rep_n.fit.sigma2)
+    assert np.array_equal(coeffs, coeffs_n) and np.array_equal(sigma2, sigma2_n)
+
+
+@given(x=series, d=st.sampled_from(PAIRS), order=st.integers(1, 4),
+       j=st.integers(-20, 20))
+def test_fixed_fit_power_of_two_scale_equivariant(x, d, order, j):
+    k = 2.0**j
+    rep, alpha, beta, coeffs, sigma2 = _fixed(x, d, order)
+    rep_k, alpha_k, beta_k, coeffs_k, sigma2_k = _fixed(k * x, d, order)
+    assert np.array_equal(alpha, alpha_k) and np.array_equal(beta, beta_k)
+    assert np.array_equal(coeffs, coeffs_k)
+    assert np.array_equal(rep.fit.sigma2 * k * k, rep_k.fit.sigma2)
+    assert np.array_equal(sigma2 * k * k, sigma2_k)
+
+
+@given(T=st.integers(1, 40), seed=seeds,
+       pairs=st.lists(st.tuples(discount, discount), min_size=1, max_size=5),
+       masked=st.integers(0, 5), prefix=st.booleans())
+def test_batch_smooth_equals_scalar(T, seed, pairs, masked, prefix):
+    """Discounts include 1.0; a masked prefix or suffix has no updates."""
+    G = len(pairs)
+    gammas, deltas = (np.array(v) for v in zip(*pairs))
+    rng = np.random.default_rng(seed)
+    y, x = rng.normal(size=(T, G)), rng.normal(size=(T, G))
+    mask = np.ones(T, dtype=bool)
+    mask[:masked] = False
+    if not prefix:
+        mask = mask[::-1].copy()
+    smb = backward_smooth(forward_filter(y, x, NIGPrior(), DiscountPair(gammas, deltas),
+                                         updated=mask))
+    for g in range(G):
+        sm = backward_smooth(forward_filter(y[:, g], x[:, g], NIGPrior(),
+                                            DiscountPair(gammas[g], deltas[g]),
+                                            updated=mask))
+        for name in ("mu", "c", "v", "s", "kappa"):
+            assert np.array_equal(getattr(sm, name), getattr(smb, name)[:, g]), name

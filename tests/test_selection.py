@@ -176,6 +176,16 @@ class TestFitters:
             fitter(x, grid=SMALL_GRID)
 
 
+    @pytest.mark.parametrize("fitter", [fit_blfdyn, fit_blffix])
+    def test_series_length_rule(self, fitter):
+        """Both searches need p_max < T and name T and p_max otherwise."""
+        x = np.random.default_rng(39).normal(size=12)
+        with pytest.raises(ValueError, match=r"T=12 .*p_max=15"):
+            fitter(x)
+        grid = SearchGrid(SMALL_GRID.gammas, SMALL_GRID.deltas, p_max=11)
+        assert 1 <= fitter(x, grid=grid).chosen_order <= 11
+
+
 class TestScreeTable:
     def test_rows_and_first_pct_undefined(self):
         rng = np.random.default_rng(36)

@@ -169,6 +169,15 @@ class TestTvvar:
         with pytest.raises(ValueError, match="t="):
             gen_tvvar(T, 10, np.ones(T), np.full((T, 1), 1.5))
 
+    def test_explosion_names_warmup_step_or_time(self):
+        T = 300
+        with pytest.raises(ValueError, match=r"during warm-up step 68 of 200 "):
+            gen_tvvar(T, 10, np.ones(T), np.full((T, 1), 1.5))
+        coeffs = np.where(np.arange(T)[:, None] < 150, 0.5, 1.5)
+        with pytest.raises(ValueError, match=r"exploded at t=(\d+)$") as err:
+            gen_tvvar(T, 10, np.ones(T), coeffs)
+        assert int(err.value.args[0].rsplit("=", 1)[1]) > 150
+
     def test_validates_profiles(self):
         with pytest.raises(ValueError, match="positive"):
             gen_tvvar(5, 0, np.zeros(5), np.zeros((5, 1)))
