@@ -105,6 +105,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.draws != 0 and args.draws < 2:
+        raise ValueError(f"--draws must be 0 or >= 2, got {args.draws}")
     x = read_series_csv(args.input)
     grid = _grid_from_args(args)
     prior = replace(default_prior(x), **_prior_flags(args))
@@ -217,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_args(p_fit)
     p_fit.add_argument("--freq-step", type=float, default=0.005)
     p_fit.add_argument("--draws", type=int, default=0,
-                       help="posterior draws for mean/sd spectral surfaces")
+                       help="posterior draws for mean/sd spectral surfaces "
+                            "(0 for none, else >= 2)")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out-dir", default=".")
     p_fit.set_defaults(func=cmd_fit)

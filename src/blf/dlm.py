@@ -22,10 +22,10 @@ through one kernel; a step that did not learn has a_t = 1 and b_t = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "NIGPrior",
@@ -311,9 +311,16 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     df = v_lag[upd]
     e = fs.e[upd]
     q = fs.q[upd]
+    # The df follow v_t = delta v_{t-1} + 1 from v0 on the shared mask, so
+    # columns with equal delta have equal df: take the lgamma terms once per
+    # distinct delta and broadcast.
+    delta = np.broadcast_to(fs.delta, df.shape[1:]).ravel()
+    _, first, inverse = np.unique(delta, return_index=True, return_inverse=True)
+    df_u = df.reshape(len(df), delta.size)[:, first]
+    norm = np.array([math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0)
+                     for v in df_u.ravel().tolist()]).reshape(df_u.shape)
     terms = (
-        gammaln((df + 1.0) / 2.0)
-        - gammaln(df / 2.0)
+        norm[:, inverse].reshape(df.shape)
         - 0.5 * np.log(df * np.pi * q)
         - (df + 1.0) / 2.0 * np.log1p(e * e / (df * q))
     )

@@ -107,8 +107,11 @@ def select_order(scree, tau: float = 0.5) -> int:
     Returns the smallest m-1 such that |(L_m - L_{m-1}) / L_{m-1}| * 100
     falls below ``tau``; if no m qualifies (always so for a one-value
     scree) the rule saturates and the full scree length is returned
-    (callers flag this case).
+    (callers flag this case).  ``tau`` must be finite and > 0: at NaN or
+    tau <= 0 the rule would never fire, at +inf it would always fire.
     """
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
     scree = np.asarray(scree, dtype=float)
     if scree.size == 0:
         raise ValueError("need at least one scree value")

@@ -149,6 +149,8 @@ def gen_tvvar(T: int, seed: int | None, variance_profile, coeff_profile) -> Simu
     Stands in for signals whose innovation variance is itself time
     dependent.
     """
+    if T < 1:
+        raise ValueError("T must be >= 1")
     sigma2 = np.asarray(variance_profile, dtype=float)
     coeffs = np.asarray(coeff_profile, dtype=float)
     if coeffs.ndim == 1:

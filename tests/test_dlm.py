@@ -1,5 +1,7 @@
 """Core DLM tests: conjugacy oracle, smoothing identities, sampler moments."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,20 +20,26 @@ from helpers import static_nig_posterior
 STATIC = DiscountPair(1.0, 1.0)
 
 
+def static_problems():
+    """100 random (y, x, prior) regressions, T in 1..50, non-integer v0."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        T = int(rng.integers(1, 51))
+        y = rng.normal(size=T)
+        x = rng.normal(size=T)
+        prior = NIGPrior(
+            mu0=rng.normal(),
+            c0=rng.uniform(0.1, 3.0),
+            v0=rng.uniform(0.5, 5.0),
+            kappa0=rng.uniform(0.1, 4.0),
+        )
+        yield y, x, prior
+
+
 class TestForwardFilter:
     def test_conjugacy_oracle(self):
         """Static limit reproduces the batch conjugate posterior."""
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            T = int(rng.integers(1, 51))
-            y = rng.normal(size=T)
-            x = rng.normal(size=T)
-            prior = NIGPrior(
-                mu0=rng.normal(),
-                c0=rng.uniform(0.1, 3.0),
-                v0=rng.uniform(0.5, 5.0),
-                kappa0=rng.uniform(0.1, 4.0),
-            )
+        for y, x, prior in static_problems():
             fs = forward_filter(y, x, prior, STATIC)
             expected = static_nig_posterior(y, x, prior)
             got = (fs.mu[-1], fs.c[-1], fs.v[-1], fs.kappa[-1])
@@ -172,6 +180,23 @@ class TestPredictiveLoglik:
         fs = forward_filter([0.0], [0.0], prior, STATIC)
         assert fs.e[0] == 0.0 and fs.q[0] == 1.0
         assert predictive_loglik(fs) == pytest.approx(np.log(1.0 / np.pi), rel=1e-14)
+
+    def test_static_limit_is_marginal_likelihood(self):
+        """At gamma = delta = 1 the one-step densities chain to the closed-form
+        marginal likelihood of the static conjugate regression:
+        -T/2 log pi + lgamma(v_T/2) - lgamma(v0/2) + v0/2 log kappa0
+        - v_T/2 log kappa_T + 1/2 log(C*_T / C*_0)."""
+        for y, x, prior in static_problems():
+            _, c_T, v_T, kappa_T = static_nig_posterior(y, x, prior)
+            cstar0 = prior.c0 * prior.v0 / prior.kappa0
+            cstar_T = c_T * v_T / kappa_T
+            expected = (-len(y) / 2 * math.log(math.pi)
+                        + math.lgamma(v_T / 2) - math.lgamma(prior.v0 / 2)
+                        + prior.v0 / 2 * math.log(prior.kappa0)
+                        - v_T / 2 * math.log(kappa_T)
+                        + 0.5 * math.log(cstar_T / cstar0))
+            got = predictive_loglik(forward_filter(y, x, prior, STATIC))
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)

@@ -316,6 +316,29 @@ class TestCli:
         x = read_series_csv(out / "series.csv")
         assert len(x) == 64
 
+    def test_simulate_tvvar_rejects_empty(self, tmp_path, capsys):
+        assert main(["simulate", "tvvar", "--T", "0", "--out-dir", str(tmp_path)]) == 1
+        assert "error: T must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["nan", "-1"])
+    def test_fit_rejects_tau_that_cannot_fire(self, tmp_path, capsys, tau):
+        src = tmp_path / "s.csv"
+        write_series_csv(src, np.random.default_rng(50).normal(size=60))
+        assert main(["fit", str(src), "--p-max", "2", "--grid-min", "0.9",
+                     "--grid-step", "0.1", "--tau", tau,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "error: tau must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("draws", ["-3", "1"])
+    def test_fit_rejects_bad_draws_before_fitting(self, tmp_path, capsys, draws):
+        src = tmp_path / "s.csv"
+        write_series_csv(src, np.random.default_rng(51).normal(size=60))
+        out = tmp_path / "out"
+        assert main(["fit", str(src), "--method", "fixed", "--order", "1",
+                     "--draws", draws, "--out-dir", str(out)]) == 1
+        assert "error: --draws must be 0 or >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_nonzero(self, tmp_path):
         assert main(["fit", str(tmp_path / "absent.csv"),
                      "--out-dir", str(tmp_path)]) == 1

@@ -4,7 +4,8 @@ Negating the series or scaling it by a power of two changes every
 intermediate value by an exact sign or power of two, so PARCOR paths,
 orders and coefficients must come back bit for bit, and variances must
 scale by exactly 4^j.  Batch filtering and smoothing must equal the scalar
-runs column by column.
+runs column by column, and so must the predictive log likelihood, which
+is exactly 0 for a filter that never updates.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from blf.dlm import (  # noqa: E402
     NIGPrior,
     backward_smooth,
     forward_filter,
+    predictive_loglik,
 )
 from blf.selection import SearchGrid, fit_blfdyn, fit_blffix, fit_fixed  # noqa: E402
 from blf.simulate import gen_tvar2, gen_tvar6  # noqa: E402
@@ -73,9 +75,10 @@ def test_fixed_fit_power_of_two_scale_equivariant(x, d, order, j):
 
 @given(T=st.integers(1, 40), seed=seeds,
        pairs=st.lists(st.tuples(discount, discount), min_size=1, max_size=5),
-       masked=st.integers(0, 5), prefix=st.booleans())
+       masked=st.integers(0, 40), prefix=st.booleans())
 def test_batch_smooth_equals_scalar(T, seed, pairs, masked, prefix):
-    """Discounts include 1.0; a masked prefix or suffix has no updates."""
+    """Discounts include 1.0; a masked prefix or suffix has no updates, and
+    ``masked >= T`` masks every step."""
     G = len(pairs)
     gammas, deltas = (np.array(v) for v in zip(*pairs))
     rng = np.random.default_rng(seed)
@@ -84,11 +87,15 @@ def test_batch_smooth_equals_scalar(T, seed, pairs, masked, prefix):
     mask[:masked] = False
     if not prefix:
         mask = mask[::-1].copy()
-    smb = backward_smooth(forward_filter(y, x, NIGPrior(), DiscountPair(gammas, deltas),
-                                         updated=mask))
+    fsb = forward_filter(y, x, NIGPrior(), DiscountPair(gammas, deltas), updated=mask)
+    smb, llb = backward_smooth(fsb), predictive_loglik(fsb)
+    assert llb.shape == (G,)
+    if not mask.any():
+        assert np.all(llb == 0.0)
     for g in range(G):
-        sm = backward_smooth(forward_filter(y[:, g], x[:, g], NIGPrior(),
-                                            DiscountPair(gammas[g], deltas[g]),
-                                            updated=mask))
+        fs = forward_filter(y[:, g], x[:, g], NIGPrior(),
+                            DiscountPair(gammas[g], deltas[g]), updated=mask)
+        sm = backward_smooth(fs)
         for name in ("mu", "c", "v", "s", "kappa"):
             assert np.array_equal(getattr(sm, name), getattr(smb, name)[:, g]), name
+        np.testing.assert_allclose(predictive_loglik(fs), llb[g], rtol=1e-13)

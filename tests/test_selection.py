@@ -45,6 +45,13 @@ class TestSelectOrder:
             select_order([-10.0, 0.0, -5.0], 0.5)
         assert select_order([-10.0], 0.5) == 1
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejects_tau_that_cannot_fire(self, tau):
+        """A NaN or non-positive threshold would never fire, an infinite one
+        would always fire."""
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            select_order([-100.0, -50.0, -50.1], tau)
+
 
 class TestSearchGrid:
     def test_defaults_match_reference_setup(self):
