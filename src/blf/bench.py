@@ -15,16 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dlm import NIGPrior
-from .selection import SearchGrid, fit_blfdyn, fit_blffix
-from .simulate import gen_piecewise, gen_tvar2, gen_tvar6, true_spectrum
+from .selection import SearchGrid, _check_tau, fit_blfdyn, fit_blffix
+from .simulate import gen_piecewise, gen_tvar2, gen_tvar6, gen_tvvar, true_spectrum
 from .spectrum import ase, default_freq_grid, tvar_spectrum
 
 __all__ = ["BenchmarkRecord", "run_benchmark", "summarize"]
 
+
+def _gen_tvvar_demo(T: int, seed: int | None = None):
+    """AR(1) at 0.9 with innovation variance exp(sin(2 pi t / T))."""
+    t = np.arange(1, T + 1)
+    return gen_tvvar(T, seed, np.exp(np.sin(2.0 * np.pi * t / T)),
+                     np.full((T, 1), 0.9))
+
+
+# Every process ``blf simulate`` and ``blf benchmark`` know, by name.
 GENERATORS = {
     "tvar2": gen_tvar2,
     "tvar6": gen_tvar6,
     "piecewise": gen_piecewise,
+    "tvvar": _gen_tvvar_demo,
 }
 
 FITTERS = {
@@ -73,6 +83,10 @@ def run_benchmark(process: str, n: int, methods, T: int = 1024,
     if process not in GENERATORS:
         raise ValueError(f"unknown process {process!r}; choose from {sorted(GENERATORS)}")
     methods = list(methods)
+    if n < 1 or not methods:
+        raise ValueError(f"need n >= 1 replicates and at least one method, "
+                         f"got n={n} and methods={methods}")
+    _check_tau(tau)
     for method in methods:
         if method not in FITTERS:
             raise ValueError(f"unknown method {method!r}; choose from {sorted(FITTERS)}")

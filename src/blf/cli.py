@@ -5,17 +5,14 @@ single-column CSV series), ``benchmark`` (replicated simulation study) and
 ``version``.  All outputs are plot-ready CSV matrices or key-value text;
 nothing is read from the environment.
 
-Spectrogram CSV layout: the first row is the frequency grid; each later
-row holds the time index followed by one cell per frequency, the natural
-log of the spectral density (posterior_sd.csv cells are the standard
-deviation of the log density, unlogged).  All numeric cells carry 17
-significant digits and round-trip exactly.
+File layouts are those of :mod:`blf.io`; posterior_sd.csv is the one
+spectrogram written with linear cells (the standard deviation of the log
+density).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,28 +26,17 @@ from .io import (
     fmt,
     read_series_csv,
     write_fit_csv,
+    write_replicates_csv,
     write_report,
     write_scree_csv,
     write_series_csv,
     write_spectrogram_csv,
     write_truth_csv,
 )
-from .selection import SearchGrid, fit_blfdyn, fit_blffix, fit_fixed
-from .simulate import gen_tvvar, true_spectrum
+from .selection import SearchGrid, _check_tau, fit_blfdyn, fit_blffix, fit_fixed
+from .simulate import true_spectrum
 from .spectrum import default_freq_grid, spectrum_posterior, tvar_spectrum
 from .tvar import path_sampler
-
-
-def _gen_tvvar(T: int, seed: int | None = None):
-    """AR(1) at 0.9 with innovation variance exp(sin(2 pi t / T))."""
-    t = np.arange(1, T + 1)
-    return gen_tvvar(T, seed, np.exp(np.sin(2.0 * np.pi * t / T)),
-                     np.full((T, 1), 0.9))
-
-
-def _simulators() -> dict:
-    """Every process ``blf simulate`` knows, by name."""
-    return {**GENERATORS, "tvvar": _gen_tvvar}
 
 
 def _grid_from_args(args) -> SearchGrid:
@@ -95,7 +81,7 @@ def _add_prior_args(p) -> None:
 def cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    proc = _simulators()[args.process](args.T, seed=args.seed)
+    proc = GENERATORS[args.process](args.T, seed=args.seed)
     write_series_csv(out / "series.csv", proc.x)
     write_truth_csv(out / "truth.csv", proc.true_coeffs, proc.true_sigma2)
     freqs = default_freq_grid(args.freq_step)
@@ -107,6 +93,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     if args.draws != 0 and args.draws < 2:
         raise ValueError(f"--draws must be 0 or >= 2, got {args.draws}")
+    _check_tau(args.tau)
     x = read_series_csv(args.input)
     grid = _grid_from_args(args)
     prior = replace(default_prior(x), **_prior_flags(args))
@@ -159,16 +146,7 @@ def cmd_benchmark(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "replicates.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate", "seed", "method", "chosen_order", "ase", "status"])
-        for r in records:
-            w.writerow([
-                r.replicate, r.seed, r.method,
-                "" if r.chosen_order is None else r.chosen_order,
-                "" if r.ase is None else fmt(r.ase),
-                "ok" if r.ok else f"failed: {r.error}",
-            ])
+    write_replicates_csv(out / "replicates.csv", records)
     summary = summarize(records)
     lines = []
     for method, stats in summary.items():
@@ -183,7 +161,7 @@ def cmd_benchmark(args) -> int:
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
 
-    if records and all(not r.ok for r in records):
+    if not any(r.ok for r in records):
         print("all replicates failed", file=sys.stderr)
         return 1
     return 0
@@ -198,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a reference process")
-    p_sim.add_argument("process", choices=_simulators())
+    p_sim.add_argument("process", choices=sorted(GENERATORS))
     p_sim.add_argument("--T", type=int, default=1024, help="series length")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--freq-step", type=float, default=0.005)

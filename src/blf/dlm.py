@@ -61,10 +61,6 @@ class NIGPrior:
         if not np.isfinite(self.mu0):
             raise ValueError(f"prior mu0 must be finite, got {self.mu0}")
 
-    @property
-    def s0(self) -> float:
-        return self.kappa0 / self.v0
-
 
 @dataclass(frozen=True)
 class DiscountPair:
@@ -108,9 +104,6 @@ class FilterState:
     gamma: np.ndarray
     delta: np.ndarray
 
-    def __len__(self) -> int:
-        return self.mu.shape[0]
-
 
 @dataclass
 class SmoothState:
@@ -121,9 +114,6 @@ class SmoothState:
     v: np.ndarray
     s: np.ndarray
     kappa: np.ndarray
-
-    def __len__(self) -> int:
-        return self.mu.shape[0]
 
 
 def default_prior(x) -> NIGPrior:

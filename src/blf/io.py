@@ -1,14 +1,16 @@
 """CSV and report serialization.
 
-All numeric cells are written with 17 significant digits so float64 values
-survive a write/read round trip bit-exactly.  Spectrogram cells hold the
-natural log of the density (plot-ready; the base choice stays downstream);
-every other file stores raw values.
+Every CSV file goes through one row writer, which gives each float cell 17
+significant digits so float64 values survive a write/read round trip
+bit-exactly.  Spectrogram cells hold the natural log of the density
+(plot-ready; the base choice stays downstream); every other file stores
+raw values.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "write_spectrogram_csv",
     "read_spectrogram_csv",
     "write_scree_csv",
+    "write_replicates_csv",
     "write_report",
     "read_report",
 ]
@@ -36,12 +39,25 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_series_csv(path, x) -> None:
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: ``header``, then ``rows``.  Float cells get
+    ``fmt``'s 17 digits; int and str cells pass through, and None is an
+    empty cell.  Rows are fastest as Python floats, one ``tolist()`` per
+    row, which keeps only one row's Python floats alive."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["x"])
-        for v in np.asarray(x, dtype=float):
-            w.writerow([fmt(v)])
+        for row in chain([header], rows):
+            w.writerow([fmt(c) if isinstance(c, float) else c for c in row])
+
+
+def _numbered(table):
+    """Rows t, then the floats of row t of a (T, k) table, for t = 1..T."""
+    return ([t, *row.tolist()] for t, row in
+            enumerate(np.asarray(table, dtype=float), start=1))
+
+
+def write_series_csv(path, x) -> None:
+    _write_csv(path, ["x"], ([v] for v in np.asarray(x, dtype=float).tolist()))
 
 
 def _csv_rows(path) -> list[tuple[int, list[str]]]:
@@ -72,37 +88,33 @@ def _parse_rows(path, rows, width: int | None = None) -> np.ndarray:
 
 
 def read_series_csv(path) -> np.ndarray:
-    """Single numeric column; a non-numeric first line is a header."""
+    """Single column of finite numbers; a non-numeric first line is a
+    header."""
     rows = _csv_rows(path)
     if rows and rows[0][0] == 1 and len(rows[0][1]) == 1:
         try:
             float(rows[0][1][0])
         except ValueError:
             rows = rows[1:]
-    return _parse_rows(path, rows, 1)[:, 0]
+    x = _parse_rows(path, rows, 1)[:, 0]
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        i, row = rows[bad[0]]
+        raise ValueError(f"{path}: row {i}: non-finite value {row[0]!r}")
+    return x
 
 
 def write_truth_csv(path, coeffs, sigma2) -> None:
     coeffs = np.asarray(coeffs, dtype=float)
-    P = coeffs.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"a{m}" for m in range(1, P + 1)] + ["sigma2"])
-        for t in range(coeffs.shape[0]):
-            w.writerow([t + 1] + [fmt(v) for v in coeffs[t]] + [fmt(sigma2[t])])
+    header = ["t"] + [f"a{m}" for m in range(1, coeffs.shape[1] + 1)] + ["sigma2"]
+    _write_csv(path, header, _numbered(np.column_stack([coeffs, sigma2])))
 
 
 def write_fit_csv(coeffs_path, variance_path, fit: TvarFit) -> None:
-    with open(coeffs_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"a{m}" for m in range(1, fit.P + 1)])
-        for t in range(fit.coeffs.shape[0]):
-            w.writerow([t + 1] + [fmt(v) for v in fit.coeffs[t]])
-    with open(variance_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "sigma2"])
-        for t, v in enumerate(np.asarray(fit.sigma2, dtype=float), start=1):
-            w.writerow([t, fmt(v)])
+    _write_csv(coeffs_path, ["t"] + [f"a{m}" for m in range(1, fit.P + 1)],
+               _numbered(fit.coeffs))
+    _write_csv(variance_path, ["t", "sigma2"],
+               _numbered(np.asarray(fit.sigma2, dtype=float)[:, None]))
 
 
 def read_coeffs_csv(path) -> np.ndarray:
@@ -116,11 +128,9 @@ def write_spectrogram_csv(path, spg: Spectrogram, log_cells: bool = True) -> Non
     """First row: the frequency grid.  Then one row per time point: the
     time index followed by the cells (natural-log density by default)."""
     values = np.log(spg.values) if log_cells else spg.values
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([fmt(f) for f in spg.freqs])
-        for i, t in enumerate(spg.times):
-            w.writerow([int(t)] + [fmt(v) for v in values[i]])
+    _write_csv(path, spg.freqs.tolist(),
+               ([t, *row.tolist()] for t, row in
+                zip(spg.times.astype(int).tolist(), values)))
 
 
 def read_spectrogram_csv(path, log_cells: bool = True) -> Spectrogram:
@@ -134,11 +144,15 @@ def read_spectrogram_csv(path, log_cells: bool = True) -> Spectrogram:
 
 
 def write_scree_csv(path, report: SelectionReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "loglik", "pct_change"])
-        for m, ll, pct in scree_table(report):
-            w.writerow([m, fmt(ll), "" if pct is None else fmt(pct)])
+    _write_csv(path, ["m", "loglik", "pct_change"], scree_table(report))
+
+
+def write_replicates_csv(path, records) -> None:
+    """One row per ``bench.BenchmarkRecord``; a failed fit has empty order
+    and ASE cells and its error in the status cell."""
+    _write_csv(path, ["replicate", "seed", "method", "chosen_order", "ase", "status"],
+               ([r.replicate, r.seed, r.method, r.chosen_order, r.ase,
+                 "ok" if r.ok else f"failed: {r.error}"] for r in records))
 
 
 def write_report(path, report: SelectionReport, tau: float) -> None:

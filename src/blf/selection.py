@@ -101,6 +101,12 @@ def _pct_change(scree: np.ndarray) -> np.ndarray:
     return np.abs(np.diff(scree) / scree[:-1]) * 100.0
 
 
+def _check_tau(tau: float) -> None:
+    """Raise unless the order rule's threshold is finite and > 0."""
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+
+
 def select_order(scree, tau: float = 0.5) -> int:
     """Order from the percent-change rule on stage log likelihoods.
 
@@ -110,8 +116,7 @@ def select_order(scree, tau: float = 0.5) -> int:
     (callers flag this case).  ``tau`` must be finite and > 0: at NaN or
     tau <= 0 the rule would never fire, at +inf it would always fire.
     """
-    if not (np.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
+    _check_tau(tau)
     scree = np.asarray(scree, dtype=float)
     if scree.size == 0:
         raise ValueError("need at least one scree value")

@@ -38,15 +38,10 @@ class SimulatedProcess:
     x: np.ndarray
     true_coeffs: np.ndarray
     true_sigma2: np.ndarray
-    label: str
-
-    @property
-    def T(self) -> int:
-        return len(self.x)
 
 
-def _simulate(coeffs: np.ndarray, sigma2: np.ndarray, rng: np.random.Generator,
-              label: str) -> SimulatedProcess:
+def _simulate(coeffs: np.ndarray, sigma2: np.ndarray,
+              rng: np.random.Generator) -> SimulatedProcess:
     """Drive x_t = sum_m coeffs[t, m] x_{t-m} + N(0, sigma2[t]) with warm-up."""
     T, P = coeffs.shape
     eps = rng.standard_normal(BURN_IN + T)
@@ -65,9 +60,7 @@ def _simulate(coeffs: np.ndarray, sigma2: np.ndarray, rng: np.random.Generator,
                                  f"{i + 1} of {BURN_IN} (before t=1)")
             raise ValueError(f"simulated series exploded at t={i - BURN_IN + 1}")
     return SimulatedProcess(
-        x=buf[BURN_IN:], true_coeffs=coeffs, true_sigma2=np.asarray(sigma2, float),
-        label=label,
-    )
+        x=buf[BURN_IN:], true_coeffs=coeffs, true_sigma2=np.asarray(sigma2, float))
 
 
 def gen_tvar2(T: int = 1024, seed: int | None = None) -> SimulatedProcess:
@@ -82,7 +75,7 @@ def gen_tvar2(T: int = 1024, seed: int | None = None) -> SimulatedProcess:
     t = np.arange(1, T + 1)
     a1 = 0.8 * (1.0 - 0.5 * np.cos(np.pi * t / 1024.0))
     coeffs = np.column_stack([a1, np.full(T, -0.81)])
-    return _simulate(coeffs, np.ones(T), np.random.default_rng(seed), "TVAR2")
+    return _simulate(coeffs, np.ones(T), np.random.default_rng(seed))
 
 
 def roots_to_coeffs(moduli, thetas) -> np.ndarray:
@@ -122,7 +115,7 @@ def gen_tvar6(T: int = 1024, seed: int | None = None) -> SimulatedProcess:
     coeffs = np.empty((T, 6))
     for i in range(T):
         coeffs[i] = roots_to_coeffs(moduli, thetas[i])
-    return _simulate(coeffs, np.ones(T), np.random.default_rng(seed), "TVAR6")
+    return _simulate(coeffs, np.ones(T), np.random.default_rng(seed))
 
 
 def gen_piecewise(T: int = 1024, seed: int | None = None) -> SimulatedProcess:
@@ -140,7 +133,7 @@ def gen_piecewise(T: int = 1024, seed: int | None = None) -> SimulatedProcess:
     coeffs[:b1] = (0.9, 0.0)
     coeffs[b1:b2] = (1.69, -0.81)
     coeffs[b2:] = (1.32, -0.81)
-    return _simulate(coeffs, np.ones(T), np.random.default_rng(seed), "PieceAR")
+    return _simulate(coeffs, np.ones(T), np.random.default_rng(seed))
 
 
 def gen_tvvar(T: int, seed: int | None, variance_profile, coeff_profile) -> SimulatedProcess:
@@ -161,7 +154,7 @@ def gen_tvvar(T: int, seed: int | None, variance_profile, coeff_profile) -> Simu
         raise ValueError("variance profile must be finite and positive")
     if np.any(~np.isfinite(coeffs)):
         raise ValueError("coefficient profile must be finite")
-    return _simulate(coeffs, sigma2, np.random.default_rng(seed), "TVVAR")
+    return _simulate(coeffs, sigma2, np.random.default_rng(seed))
 
 
 def true_spectrum(p: SimulatedProcess, freqs=None) -> Spectrogram:

@@ -70,7 +70,7 @@ class TestForwardFilter:
         np.testing.assert_array_equal(fs.e[:3], y[:3])
         np.testing.assert_array_equal(fs.q[:3], fs.s[:3])
         for name, value in (("mu", prior.mu0), ("c", prior.c0), ("v", prior.v0),
-                            ("kappa", prior.kappa0), ("s", prior.s0)):
+                            ("kappa", prior.kappa0), ("s", prior.kappa0 / prior.v0)):
             assert np.all(getattr(fs, name)[:3] == value), name
         assert fs.e[3] == y[3] - prior.mu0 * x[3]
         assert fs.mu[3] != prior.mu0

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from blf.bench import GENERATORS
 from blf.cli import main
 from blf.io import (
     fmt,
@@ -103,10 +104,12 @@ class TestCsvValidation:
         (read_coeffs_csv, "t,a1\n1,0.5,0.1\n", "row 2: expected 2 columns, got 3"),
         (read_coeffs_csv, "t,a1,a2\n1,0.5,oops\n", "row 2: .*'oops'"),
         (read_series_csv, "x\n", "no numeric data"),
+        (read_series_csv, "x\n1.0\n2.0\nnan\n", "row 4: non-finite value 'nan'"),
     ])
     def test_bad_rows_are_named(self, tmp_path, reader, text, match):
         """Every reader names the file and the 1-based row of a ragged or
-        non-numeric row, and refuses a file without data rows."""
+        non-numeric row, and refuses a file without data rows; the series
+        reader also names a non-finite cell."""
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=match) as err:
@@ -309,6 +312,33 @@ class TestCli:
                          "--freq-step", step, "--out-dir", str(tmp_path)]) == 1
             assert "frequency step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("process", sorted(GENERATORS))
+    def test_every_registered_process_runs(self, tmp_path, process):
+        """``blf simulate`` and ``blf benchmark`` serve every process of the
+        one registry."""
+        sim = tmp_path / "sim"
+        assert main(["simulate", process, "--T", "128", "--seed", "1",
+                     "--out-dir", str(sim)]) == 0
+        np.testing.assert_array_equal(read_series_csv(sim / "series.csv"),
+                                      GENERATORS[process](128, seed=1).x)
+        bench = tmp_path / "bench"
+        assert main(["benchmark", process, "--n", "1", "--T", "128",
+                     "--methods", "blffix", "--p-max", "3", "--grid-min", "0.96",
+                     "--grid-step", "0.04", "--out-dir", str(bench)]) == 0
+        with open(bench / "replicates.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and rows[1][5] == "ok"
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--methods", ","),
+                                             ("--tau", "nan")])
+    def test_benchmark_rejects_empty_or_futile_runs(self, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "out"
+        assert main(["benchmark", "tvar2", "--T", "64", flag, value,
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_simulate_tvvar(self, tmp_path):
         out = tmp_path / "tvv"
         assert main(["simulate", "tvvar", "--T", "64", "--seed", "6",
@@ -322,12 +352,14 @@ class TestCli:
 
     @pytest.mark.parametrize("tau", ["nan", "-1"])
     def test_fit_rejects_tau_that_cannot_fire(self, tmp_path, capsys, tau):
-        src = tmp_path / "s.csv"
-        write_series_csv(src, np.random.default_rng(50).normal(size=60))
-        assert main(["fit", str(src), "--p-max", "2", "--grid-min", "0.9",
-                     "--grid-step", "0.1", "--tau", tau,
-                     "--out-dir", str(tmp_path / "out")]) == 1
-        assert "error: tau must be finite and > 0" in capsys.readouterr().err
+        """Every method rejects tau, even ``fixed``, which never applies the
+        order rule, and before the input (absent here) is read."""
+        out = tmp_path / "out"
+        for method in ("blfdyn", "blffix", "fixed"):
+            assert main(["fit", str(tmp_path / "absent.csv"), "--method", method,
+                         "--order", "1", "--tau", tau, "--out-dir", str(out)]) == 1
+            assert "error: tau must be finite and > 0" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("draws", ["-3", "1"])
     def test_fit_rejects_bad_draws_before_fitting(self, tmp_path, capsys, draws):

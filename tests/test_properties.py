@@ -5,7 +5,8 @@ intermediate value by an exact sign or power of two, so PARCOR paths,
 orders and coefficients must come back bit for bit, and variances must
 scale by exactly 4^j.  Batch filtering and smoothing must equal the scalar
 runs column by column, and so must the predictive log likelihood, which
-is exactly 0 for a filter that never updates.
+is exactly 0 for a filter that never updates.  Every CSV writer/reader
+pair gives back finite float64 values bit for bit.
 """
 
 import numpy as np
@@ -21,9 +22,18 @@ from blf.dlm import (  # noqa: E402
     forward_filter,
     predictive_loglik,
 )
+from blf.io import (  # noqa: E402
+    read_coeffs_csv,
+    read_series_csv,
+    read_spectrogram_csv,
+    write_fit_csv,
+    write_series_csv,
+    write_spectrogram_csv,
+)
 from blf.selection import SearchGrid, fit_blfdyn, fit_blffix, fit_fixed  # noqa: E402
 from blf.simulate import gen_tvar2, gen_tvar6  # noqa: E402
-from blf.tvar import path_sampler  # noqa: E402
+from blf.spectrum import Spectrogram, default_freq_grid  # noqa: E402
+from blf.tvar import TvarFit, path_sampler  # noqa: E402
 
 GRID = SearchGrid(gammas=(0.9, 0.95, 1.0), deltas=(0.9, 0.95, 1.0), p_max=4)
 PAIRS = [DiscountPair(0.95, 1.0), DiscountPair(1.0, 1.0), DiscountPair(1.0, 0.9),
@@ -31,6 +41,11 @@ PAIRS = [DiscountPair(0.95, 1.0), DiscountPair(1.0, 1.0), DiscountPair(1.0, 0.9)
 
 seeds = st.integers(0, 2**16)
 discount = st.sampled_from([0.8, 0.9, 0.95, 0.99, 1.0])
+# Finite float64 cells, always mixed with the edge cases of the 17-digit rule.
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -2.225073858507201e-308, 1.7e308, -1.7e308, 1.7976931348623157e308]
+cell_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=60).map(lambda v: v + EDGES)
 series = st.builds(lambda gen, T, seed: gen(T, seed=seed).x,
                    st.sampled_from([gen_tvar2, gen_tvar6]), st.integers(60, 240), seeds)
 
@@ -99,3 +114,32 @@ def test_batch_smooth_equals_scalar(T, seed, pairs, masked, prefix):
         for name in ("mu", "c", "v", "s", "kappa"):
             assert np.array_equal(getattr(sm, name), getattr(smb, name)[:, g]), name
         np.testing.assert_allclose(predictive_loglik(fs), llb[g], rtol=1e-13)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bytes, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(values=cell_lists, width=st.integers(1, 4))
+def test_csv_roundtrip_bit_exact(tmp_path_factory, values, width):
+    """Series, fit-coefficient (with its variance file) and linear-cell
+    spectrogram files read back what was written, bit for bit."""
+    out = tmp_path_factory.mktemp("csv")
+    x = np.array(values)
+    write_series_csv(out / "x.csv", x)
+    assert _same_bits(read_series_csv(out / "x.csv"), x)
+
+    table = np.resize(x, (len(x), width))
+    write_fit_csv(out / "c.csv", out / "v.csv", TvarFit(coeffs=table, sigma2=x))
+    assert _same_bits(read_coeffs_csv(out / "c.csv"), table)
+    assert _same_bits(read_coeffs_csv(out / "v.csv")[:, 0], x)
+
+    freqs = default_freq_grid(0.5 / width)
+    spg = Spectrogram(np.arange(1, len(x) + 1), freqs,
+                      np.resize(x, (len(x), len(freqs))))
+    write_spectrogram_csv(out / "s.csv", spg, log_cells=False)
+    back = read_spectrogram_csv(out / "s.csv", log_cells=False)
+    assert _same_bits(back.freqs, freqs) and _same_bits(back.values, spg.values)
+    assert np.array_equal(back.times, spg.times)
