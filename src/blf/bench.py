@@ -86,6 +86,8 @@ def run_benchmark(process: str, n: int, methods, T: int = 1024,
     if n < 1 or not methods:
         raise ValueError(f"need n >= 1 replicates and at least one method, "
                          f"got n={n} and methods={methods}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_tau(tau)
     for method in methods:
         if method not in FITTERS:

@@ -43,7 +43,8 @@ def _grid_from_args(args) -> SearchGrid:
     lo, hi, step = args.grid_min, args.grid_max, args.grid_step
     if not (0 < lo <= hi <= 1 and step > 0):
         raise ValueError("grid bounds must satisfy 0 < min <= max <= 1 with step > 0")
-    vals = tuple(np.round(np.arange(lo, hi + step / 2, step), 10))
+    vals = np.round(np.arange(lo, hi + step / 2, step), 10)
+    vals = tuple(vals[vals <= hi])  # the half step of slack can overshoot max
     return SearchGrid(gammas=vals, deltas=vals, p_max=args.p_max)
 
 

@@ -16,8 +16,10 @@ latter case column g is an independent regression problem and ``gamma`` or
 ``delta`` may be arrays of shape ``(G,)``.  This batch form is what makes
 discount-grid searches cheap.
 
-Smoothing and sampling run every backward recurrence y_t = a_t y_{t+1} + b_t
-through one kernel; a step that did not learn has a_t = 1 and b_t = 0.
+Every recurrence is first-order linear and runs through one kernel,
+``_scan``: the forward filter (in information form) forwards in time, the
+smoother and the sampler backwards on time-reversed views.  A step that did
+not learn is a unit step of the recurrence, y_t = 1 * y_{t-1} + 0.
 """
 
 from __future__ import annotations
@@ -143,21 +145,24 @@ def _validate_series(arr, name: str) -> np.ndarray:
 def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> FilterState:
     """Run the sequential conjugate updates over t = 1..T.
 
-    Every step forecasts with the first three lines; an updated step then
-    learns with the rest::
+    The filter runs in information form on the scale-free precision
+    P = s/c (discount-weighted regression; Ameen & Harrison 1984, West &
+    Harrison 1997 ch. 10).  Every step forecasts with the first three
+    lines; a step that learns also runs the four recurrences below them::
 
-        r = c_{t-1} / gamma
-        q = r x_t^2 + s_{t-1}
-        e = y_t - mu_{t-1} x_t
-        z = r x_t / q
-        mu_t    = mu_{t-1} + z e
+        g_t     = 1 + x_t^2 / (gamma P_{t-1})
+        e_t     = y_t - mu_{t-1} x_t
+        q_t     = s_{t-1} g_t
+        P_t     = gamma P_{t-1} + x_t^2
+        mu_t    = mu_{t-1} / g_t + x_t y_t / P_t
         v_t     = delta v_{t-1} + 1
-        kappa_t = delta kappa_{t-1} + s_{t-1} e^2 / q
-        s_t     = kappa_t / v_t
-        c_t     = r s_t / q
+        kappa_t = delta kappa_{t-1} + e_t^2 / g_t
 
-    The last line is the factored form of ``(r - z^2 q)(s_t / s_{t-1})``;
-    it is algebraically identical and cannot go negative in floating point.
+    from P_0 = s_0/c_0, with s = kappa/v and c = s/P: the covariance form
+    (r = c_{t-1}/gamma, q_t = r x_t^2 + s_{t-1}) rewritten on P, where
+    1/g_t = gamma P_{t-1} / P_t.  So the filter is four calls of one
+    first-order linear scan, and a step that does not learn is a unit step
+    (a_t = 1, b_t = 0) in all four.
 
     Parameters
     ----------
@@ -183,71 +188,65 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> Filt
     T = y.shape[0]
     if T < 1:
         raise ValueError("need at least one observation")
-    if updated is None:
-        updated = np.ones(T, dtype=bool)
-    else:
-        updated = np.asarray(updated, dtype=bool)
-        if updated.shape != (T,):
-            raise ValueError("updated mask must have shape (T,)")
+    updated = np.ones(T, dtype=bool) if updated is None else np.asarray(updated, bool)
+    if updated.shape != (T,):
+        raise ValueError("updated mask must have shape (T,)")
 
     gamma = np.asarray(d.gamma, dtype=float)
     delta = np.asarray(d.delta, dtype=float)
-
     shape = np.broadcast_shapes(y.shape[1:], gamma.shape, delta.shape)
-    out_shape = (T,) + shape
+    # Trailing unit axes let a 1-D series broadcast against length-G discounts.
+    x = x.reshape(x.shape + (1,) * (len(shape) + 1 - x.ndim))
+    y = y.reshape(x.shape)
+    gamma_t, delta_t = _step_discounts(updated, gamma, delta, x.ndim)
 
-    mu = np.empty(out_shape)
-    c = np.empty(out_shape)
-    v = np.empty(out_shape)
-    kappa = np.empty(out_shape)
-    s = np.empty(out_shape)
-    e = np.empty(out_shape)
-    q = np.empty(out_shape)
+    def learned(b, unit=0.0):
+        b[~updated] = unit
+        return b
 
-    mu_prev = np.broadcast_to(np.float64(prior.mu0), shape).copy()
-    c_prev = np.broadcast_to(np.float64(prior.c0), shape).copy()
-    v_prev = np.broadcast_to(np.float64(prior.v0), shape).copy()
-    kappa_prev = np.broadcast_to(np.float64(prior.kappa0), shape).copy()
-    s_prev = kappa_prev / v_prev
-
-    for t in range(T):
-        xt = x[t]
-        r = c_prev / gamma
-        qt = r * xt * xt + s_prev
-        et = y[t] - mu_prev * xt
-        if updated[t]:
-            z = r * xt / qt
-            mu_t = mu_prev + z * et
-            v_t = delta * v_prev + 1.0
-            kappa_t = delta * kappa_prev + s_prev * et * et / qt
-            s_t = kappa_t / v_t
-            c_t = r * s_t / qt
-            mu_prev, c_prev, v_prev, kappa_prev, s_prev = mu_t, c_t, v_t, kappa_t, s_t
-
-        mu[t], c[t], v[t], kappa[t], s[t], e[t], q[t] = (
-            mu_prev, c_prev, v_prev, kappa_prev, s_prev, et, qt,
-        )
-
+    # Row t of P, mu, v and kappa is time t = 0..T: row 0 is the prior and
+    # the lagged values are views.  Work in place and drop gamma_t early:
+    # every (T, G) array alive at once adds to the peak memory of a search.
+    zero = np.zeros(shape)
+    P = _scan(gamma_t, learned(x * x), zero + prior.kappa0 / prior.v0 / prior.c0)
+    del gamma_t
+    g = np.multiply(gamma, P[:-1])
+    np.divide(x * x, g, out=g)
+    g += 1.0
+    mu = _scan(learned(1.0 / g, 1.0), learned(x * y / P[1:]), zero + prior.mu0)
+    v = _scan(delta_t, learned(np.ones_like(x)), zero + prior.v0)
+    e = y - mu[:-1] * x
+    kappa = _scan(delta_t, learned(e * e / g), zero + prior.kappa0)
+    s = kappa / v
+    q = np.multiply(s[:-1], g, out=g)
+    c = np.divide(s[1:], P[1:], out=P[1:])
     return FilterState(
-        mu=mu, c=c, v=v, kappa=kappa, s=s, e=e, q=q,
+        mu=mu[1:], c=c, v=v[1:], kappa=kappa[1:], s=s[1:], e=e, q=q,
         updated=updated, prior=prior, gamma=gamma, delta=delta,
     )
 
 
-def _step_discounts(fs: FilterState) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step discounts (gamma_t, delta_t), t = 0..T-2: the filter's where
-    step t+1 learned, else 1, a unit-discount step that carries values back."""
-    learned = fs.updated[1:].reshape((-1,) + (1,) * (fs.mu.ndim - 1))
-    return np.where(learned, fs.gamma, 1.0), np.where(learned, fs.delta, 1.0)
+def _step_discounts(learned: np.ndarray, gamma, delta, ndim: int):
+    """Per-step discounts (gamma_t, delta_t): the given ones where the step
+    learned, else 1, a unit step that carries the posterior unchanged."""
+    learned = learned.reshape((-1,) + (1,) * (ndim - 1))
+    return np.where(learned, gamma, 1.0), np.where(learned, delta, 1.0)
+
+
+def _scan(a: np.ndarray, b: np.ndarray, first) -> np.ndarray:
+    """``y[0] = first``, then ``y[t+1] = a[t] y[t] + b[t]`` for t = 0..len(b)-1:
+    the one time loop that every recurrence of the module runs through.
+    ``first`` has the shape of each row."""
+    y = np.empty((len(b) + 1,) + np.shape(first))
+    y[0] = first
+    for t in range(len(b)):
+        y[t + 1] = a[t] * y[t] + b[t]
+    return y
 
 
 def _backward(a: np.ndarray, b: np.ndarray, last) -> np.ndarray:
     """``y[T-1] = last``, then ``y[t] = a[t] y[t+1] + b[t]`` for t = T-2..0."""
-    y = np.empty((len(b) + 1,) + np.broadcast_shapes(np.shape(last), b.shape[1:]))
-    y[-1] = last
-    for t in range(len(b) - 1, -1, -1):
-        y[t] = a[t] * y[t + 1] + b[t]
-    return y
+    return _scan(a[::-1], b[::-1], last)[::-1]
 
 
 def backward_smooth(fs: FilterState) -> SmoothState:
@@ -270,7 +269,7 @@ def backward_smooth(fs: FilterState) -> SmoothState:
     learn, gamma_t = delta_t = 1 and the smoothed values carry back
     unchanged.  The t = T rows of ``s`` and ``c`` are the filter's own.
     """
-    gamma, delta = _step_discounts(fs)
+    gamma, delta = _step_discounts(fs.updated[1:], fs.gamma, fs.delta, fs.mu.ndim)
     s_t = fs.s[:-1]
     mu = _backward(gamma, (1.0 - gamma) * fs.mu[:-1], fs.mu[-1])
     v = _backward(delta, (1.0 - delta) * fs.v[:-1], fs.v[-1])
@@ -353,7 +352,7 @@ def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
     """
     if fs.mu.ndim != 1:
         raise ValueError("backward_sample expects a filter over a single series")
-    gamma, delta = _step_discounts(fs)
+    gamma, delta = _step_discounts(fs.updated[1:], fs.gamma, fs.delta, fs.mu.ndim)
 
     phi_T = rng.gamma(fs.v[-1] / 2.0, 2.0 / fs.kappa[-1], size=size)
     shocks = rng.gamma(((1.0 - delta) * fs.v[:-1] / 2.0)[::-1, None],

@@ -133,7 +133,7 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
         Frequency grid; defaults to 0..0.5 step 0.005.
     rng : numpy.random.Generator, optional
     chunk : int
-        Draws evaluated per batch to bound memory.
+        Draws evaluated per batch to bound memory (>= 1).
 
     Returns
     -------
@@ -143,6 +143,8 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
     """
     if n_draws < 2:
         raise ValueError("n_draws must be >= 2")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     freqs = default_freq_grid() if freqs is None else np.asarray(freqs, dtype=float)
     rng = np.random.default_rng() if rng is None else rng
 

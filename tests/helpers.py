@@ -1,8 +1,10 @@
 """Independent oracles shared across test modules.
 
 These deliberately re-derive results through routes the library does not
-use: batch conjugate algebra instead of sequential updating, and the
-classical constant-coefficient recursion instead of the time-varying one.
+use: batch conjugate algebra instead of sequential updating, the
+covariance-form filter step by step instead of the information-form scan,
+and the classical constant-coefficient recursion instead of the time-varying
+one.
 """
 
 import numpy as np
@@ -25,6 +27,36 @@ def static_nig_posterior(y, x, prior):
     kappa_T = prior.kappa0 + prior.mu0**2 / cstar0 + np.sum(y * y) - mu_T**2 / cstar_T
     s_T = kappa_T / v_T
     return mu_T, s_T * cstar_T, v_T, kappa_T
+
+
+def covariance_filter(y, x, prior, gamma, delta, updated):
+    """The discounted conjugate filter in covariance form, one step at a time.
+
+    Every step forecasts (r, q, e); a step with ``updated`` true then learns
+    through the gain z = r x_t / q.  Elsewhere the posterior is carried
+    forward.  Returns the seven trajectories of a ``FilterState`` by name.
+    """
+    y = np.asarray(y, float)
+    x = np.asarray(x, float)
+    shape = np.broadcast_shapes(y.shape[1:], np.shape(gamma), np.shape(delta))
+    mu, c, v, kappa = (np.full(shape, float(val))
+                       for val in (prior.mu0, prior.c0, prior.v0, prior.kappa0))
+    s = kappa / v
+    rows = []
+    for t in range(len(y)):
+        r = c / gamma
+        q = r * x[t] * x[t] + s
+        e = y[t] - mu * x[t]
+        if updated[t]:
+            z = r * x[t] / q
+            mu = mu + z * e
+            v = delta * v + 1.0
+            kappa = delta * kappa + s * e * e / q
+            s = kappa / v
+            c = r * s / q
+        rows.append((mu, c, v, kappa, s, e, q))
+    names = ("mu", "c", "v", "kappa", "s", "e", "q")
+    return {name: np.array(col) for name, col in zip(names, zip(*rows))}
 
 
 def classical_levinson(parcor):

@@ -15,7 +15,7 @@ from blf.dlm import (
     predictive_loglik,
 )
 
-from helpers import static_nig_posterior
+from helpers import covariance_filter, static_nig_posterior
 
 STATIC = DiscountPair(1.0, 1.0)
 
@@ -44,6 +44,52 @@ class TestForwardFilter:
             expected = static_nig_posterior(y, x, prior)
             got = (fs.mu[-1], fs.c[-1], fs.v[-1], fs.kappa[-1])
             np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+    def test_discounted_filter_matches_covariance_form(self):
+        """Discounts in [0.8, 1], x and y scaled 1e-3 to 1e3, varied priors,
+        scalar and batch inputs, and prefix, suffix and scattered masks with
+        x != 0 at the masked steps: every field agrees with the step-by-step
+        covariance form to 1e-10 relative.  mu is compared on the scale
+        |mu| + sqrt(c) of its posterior, since it may cross zero, and e on
+        the scale |y| + |x mu_{t-1}| of the terms it differences.  The prior
+        is drawn on the coefficient's own scale y/x: one many orders off it
+        makes the problem ill-conditioned, and either form can then stray
+        about 1e-10 from exact arithmetic."""
+        rng = np.random.default_rng(15)
+        for i in range(240):
+            T = int(rng.integers(1, 60))
+            form = i % 3  # scalar, (T, G) series, 1-D series with (G,) discounts
+            size = (T, 4) if form == 1 else T
+            y_scale, x_scale = 10 ** rng.uniform(-3, 3, size=2)
+            y = rng.normal(size=size) * y_scale
+            x = rng.normal(size=size) * x_scale
+            gamma, delta = rng.uniform(0.8, 1.0, size=(2, 4) if form else 2)
+            updated = np.ones(T, dtype=bool)
+            cut = int(rng.integers(0, T + 1))
+            kind = i // 3 % 4
+            if kind == 1:
+                updated[:cut] = False
+            elif kind == 2:
+                updated[cut:] = False
+            elif kind == 3:
+                updated = rng.random(T) < 0.6
+            theta_scale = y_scale / x_scale
+            prior = NIGPrior(mu0=rng.normal() * theta_scale,
+                             c0=rng.uniform(0.1, 3.0) * theta_scale**2,
+                             v0=rng.uniform(0.5, 5.0),
+                             kappa0=rng.uniform(0.1, 4.0) * y_scale**2)
+            fs = forward_filter(y, x, prior, DiscountPair(gamma, delta), updated)
+            ref = covariance_filter(y, x, prior, gamma, delta, updated)
+            for name in ("c", "v", "kappa", "s", "q"):
+                np.testing.assert_allclose(getattr(fs, name), ref[name], rtol=1e-10,
+                                           err_msg=name)
+            mu_scale = np.abs(ref["mu"]) + np.sqrt(ref["c"])
+            assert np.all(np.abs(fs.mu - ref["mu"]) <= 1e-10 * mu_scale)
+            mu_lag = np.concatenate([np.full((1,) + ref["mu"].shape[1:], prior.mu0),
+                                     ref["mu"][:-1]])
+            yb, xb = (a[:, None] if form == 2 else a for a in (y, x))
+            scale = np.abs(yb) + np.abs(xb * mu_lag)
+            assert np.all(np.abs(fs.e - ref["e"]) <= 1e-10 * scale)
 
     def test_zero_regressor_step(self):
         """x_t = 0 forces z = 0, mu carried, q = s_{t-1}, e = y_t."""

@@ -304,6 +304,37 @@ class TestCli:
         assert (tmp_path / "1" / "replicates.csv").read_bytes() != \
                (tmp_path / "50" / "replicates.csv").read_bytes()
 
+    @pytest.mark.parametrize("args, expected", [
+        ([], SearchGrid().gammas),
+        (["--grid-max", "0.95", "--grid-step", "0.04"], (0.8, 0.84, 0.88, 0.92)),
+        (["--grid-step", "0.03"], (0.8, 0.83, 0.86, 0.89, 0.92, 0.95, 0.98)),
+    ])
+    def test_fit_grid_stays_within_max(self, tmp_path, monkeypatch, args, expected):
+        """The searched grid runs from --grid-min in --grid-step steps and
+        never past --grid-max; the default flags give the library default."""
+        grids = []
+
+        def spy(x, grid, **kwargs):
+            grids.append(grid)
+            return fit_blfdyn(x, grid=grid, **kwargs)
+
+        monkeypatch.setattr("blf.cli.fit_blfdyn", spy)
+        src = tmp_path / "s.csv"
+        write_series_csv(src, np.random.default_rng(52).normal(size=40))
+        out = tmp_path / "out"
+        assert main(["fit", str(src), "--p-max", "2", "--out-dir", str(out)] + args) == 0
+        assert grids[0].gammas == grids[0].deltas == expected
+        report = read_report(out / "report.txt")
+        assert set(report["gammas"]) | set(report["deltas"]) <= set(expected)
+
+    def test_benchmark_rejects_workers_below_one(self, tmp_path, capsys):
+        for workers in ("0", "-3"):
+            out = tmp_path / workers
+            assert main(["benchmark", "tvar2", "--n", "1", "--T", "64", "--workers",
+                         workers, "--out-dir", str(out)]) == 1
+            assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_fit_rejects_bad_freq_step(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
         write_series_csv(src, np.random.default_rng(49).normal(size=100))

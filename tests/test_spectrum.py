@@ -154,6 +154,14 @@ class TestSpectrumPosterior:
         se = np.sqrt(s1.values**2 / 1000 + s2.values**2 / 2000)
         assert np.max(diff / se) < 3.0 * np.sqrt(np.log(diff.size))  # union bound slack
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_chunk_below_one_before_drawing(self, chunk):
+        def draw(rng, size):
+            raise AssertionError("no draw may be made")
+
+        with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
+            spectrum_posterior(draw, 10, chunk=chunk)
+
     def test_requires_two_draws(self):
         with pytest.raises(ValueError, match="n_draws"):
             spectrum_posterior(lambda rng, size: None, 1)
