@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .selection import SelectionReport, scree_table
-from .spectrum import Spectrogram
+from .spectrum import Spectrogram, _check_grid
 from .tvar import TvarFit
 
 __all__ = [
@@ -137,6 +137,10 @@ def read_spectrogram_csv(path, log_cells: bool = True) -> Spectrogram:
     """Inverse of ``write_spectrogram_csv``."""
     rows = _csv_rows(path)
     freqs = _parse_rows(path, rows[:1])[0]
+    try:
+        freqs = _check_grid(freqs)
+    except ValueError as err:
+        raise ValueError(f"{path}: row {rows[0][0]}: {err}") from None
     table = _parse_rows(path, rows[1:], len(freqs) + 1)
     cells = table[:, 1:]
     values = np.exp(cells) if log_cells else cells

@@ -39,6 +39,28 @@ def default_freq_grid(step: float = 0.005) -> np.ndarray:
     return np.linspace(0.0, 0.5, n + 1)
 
 
+def _check_grid(freqs) -> np.ndarray:
+    """``freqs`` as a float array, if it is a frequency grid.
+
+    A grid is non-empty, 1-D, finite, strictly increasing and inside
+    [0, 1/2].  Finiteness is tested first because NaN fails every ordered
+    comparison, so the later tests would pass it.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 1 or freqs.size == 0:
+        raise ValueError(f"frequency grid must be a non-empty 1-D array, "
+                         f"got shape {freqs.shape}")
+    if not np.all(np.isfinite(freqs)):
+        bad = np.flatnonzero(~np.isfinite(freqs))[0]
+        raise ValueError(f"frequency grid must be finite, got {freqs[bad]} "
+                         f"at index {bad}")
+    if np.any(np.diff(freqs) <= 0):
+        raise ValueError("frequency grid must be strictly increasing")
+    if freqs[0] < 0 or freqs[-1] > 0.5:
+        raise ValueError("frequencies must lie in [0, 1/2]")
+    return freqs
+
+
 @dataclass
 class Spectrogram:
     """Time x frequency grid of values on [0, 1/2].
@@ -55,12 +77,8 @@ class Spectrogram:
 
     def __post_init__(self):
         self.times = np.asarray(self.times)
-        self.freqs = np.asarray(self.freqs, dtype=float)
+        self.freqs = _check_grid(self.freqs)
         self.values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(self.freqs) <= 0):
-            raise ValueError("frequency grid must be strictly increasing")
-        if np.any(self.freqs < 0) or np.any(self.freqs > 0.5):
-            raise ValueError("frequencies must lie in [0, 1/2]")
         if self.values.shape != (len(self.times), len(self.freqs)):
             raise ValueError(
                 f"values shape {self.values.shape} does not match "
@@ -73,6 +91,11 @@ class Spectrogram:
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.freqs, other.freqs)
         )
+
+
+# Bytes of complex128 transfer per time block of spectrum_posterior: at
+# most 40 steps at 64 draws x 101 frequencies.
+_BLOCK_BYTES = 1 << 22
 
 
 def _ar_density(coeffs: np.ndarray, sigma2: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -92,7 +115,7 @@ def tvar_spectrum(fit: TvarFit, freqs=None) -> Spectrogram:
     An exact unit root at some (t, w) yields +inf in that cell rather than
     an error; ``ase`` refuses such surfaces downstream.
     """
-    freqs = default_freq_grid() if freqs is None else np.asarray(freqs, dtype=float)
+    freqs = default_freq_grid() if freqs is None else _check_grid(freqs)
     values = _ar_density(fit.coeffs, np.asarray(fit.sigma2, dtype=float), freqs)
     T = fit.coeffs.shape[0]
     return Spectrogram(times=np.arange(1, T + 1), freqs=freqs, values=values)
@@ -133,7 +156,11 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
         Frequency grid; defaults to 0..0.5 step 0.005.
     rng : numpy.random.Generator, optional
     chunk : int
-        Draws evaluated per batch to bound memory (>= 1).
+        Draws per ``draw_paths`` call (>= 1).  The sampler's arrays scale
+        with chunk x T x P.  The density, its log and the moments of each
+        chunk are evaluated over blocks of time steps whose complex transfer
+        holds about ``_BLOCK_BYTES`` (4 MiB), and at least two steps, so
+        their memory does not grow with T.
 
     Returns
     -------
@@ -145,27 +172,41 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
         raise ValueError("n_draws must be >= 2")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    freqs = default_freq_grid() if freqs is None else np.asarray(freqs, dtype=float)
+    freqs = default_freq_grid() if freqs is None else _check_grid(freqs)
     rng = np.random.default_rng() if rng is None else rng
 
-    # Chan/Welford merge from zero draws: exact zeros for degenerate posteriors
+    # Chan/Welford merge from zero draws: exact zeros for degenerate posteriors.
+    # Every (t, w) cell is merged on its own, so a time block at a time
+    # gives the same bits as the whole chunk at once.
     total = 0
-    mean_log = m2 = 0.0
+    mean_log = m2 = None
     while total < n_draws:
         size = min(chunk, n_draws - total)
         coeffs, sigma2 = draw_paths(rng, size)
-        logs = np.log(_ar_density(coeffs, sigma2, freqs))
-        cmean = logs.mean(axis=0)
-        cm2 = ((logs - cmean) ** 2).sum(axis=0)
-        delta = cmean - mean_log
-        mean_log = mean_log + delta * (size / (total + size))
-        m2 = m2 + cm2 + delta**2 * (total * size / (total + size))
+        T = coeffs.shape[1]
+        if mean_log is None:
+            mean_log, m2 = np.zeros((2, T, len(freqs)))
+        weight, spread = size / (total + size), total * size / (total + size)
+        # Equal blocks of at least two steps where T allows: numpy multiplies
+        # a one-row block by another BLAS routine (gemv, not gemm), whose
+        # sums can differ from the whole chunk's in the last bit.
+        step = max(1, _BLOCK_BYTES // (16 * size * len(freqs)))
+        n_blocks = max(1, min(-(-T // step), T // 2))
+        edges = [T * i // n_blocks for i in range(n_blocks + 1)]
+        for block in map(slice, edges[:-1], edges[1:]):
+            logs = np.log(_ar_density(coeffs[:, block], sigma2[:, block], freqs))
+            cmean = logs.mean(axis=0)
+            logs -= cmean
+            cm2 = np.square(logs, out=logs).sum(axis=0)
+            delta = cmean - mean_log[block]
+            mean_log[block] += delta * weight
+            m2[block] += cm2  # two adds: (m2 + cm2) + spread term, in that order
+            m2[block] += delta**2 * spread
         total += size
 
-    var_log = m2 / (total - 1)
-    T = mean_log.shape[0]
+    m2 /= total - 1
     times = np.arange(1, T + 1)
     return (
-        Spectrogram(times=times, freqs=freqs, values=np.exp(mean_log)),
-        Spectrogram(times=times, freqs=freqs, values=np.sqrt(var_log)),
+        Spectrogram(times=times, freqs=freqs, values=np.exp(mean_log, out=mean_log)),
+        Spectrogram(times=times, freqs=freqs, values=np.sqrt(m2, out=m2)),
     )

@@ -3,11 +3,13 @@
 These deliberately re-derive results through routes the library does not
 use: batch conjugate algebra instead of sequential updating, the
 covariance-form filter step by step instead of the information-form scan,
-and the classical constant-coefficient recursion instead of the time-varying
-one.
+the classical constant-coefficient recursion instead of the time-varying
+one, and posterior moments of whole chunks instead of time blocks.
 """
 
 import numpy as np
+
+from blf.spectrum import _ar_density
 
 
 def static_nig_posterior(y, x, prior):
@@ -69,3 +71,24 @@ def classical_levinson(parcor):
         k = parcor[m - 1]
         a = [a[j] - k * a[m - 2 - j] for j in range(m - 1)] + [k]
     return np.array(a)
+
+
+def unblocked_posterior(draw_paths, n_draws, freqs, rng, chunk=64):
+    """Posterior mean and sd of log S with each chunk of draws evaluated
+    over all time steps at once, merged by Chan/Welford from zero draws.
+
+    Returns the ``values`` of ``spectrum_posterior``'s (mean, sd) pair.
+    """
+    total = 0
+    mean_log = m2 = 0.0
+    while total < n_draws:
+        size = min(chunk, n_draws - total)
+        coeffs, sigma2 = draw_paths(rng, size)
+        logs = np.log(_ar_density(coeffs, sigma2, freqs))
+        cmean = logs.mean(axis=0)
+        cm2 = ((logs - cmean) ** 2).sum(axis=0)
+        delta = cmean - mean_log
+        mean_log = mean_log + delta * (size / (total + size))
+        m2 = m2 + cm2 + delta**2 * (total * size / (total + size))
+        total += size
+    return np.exp(mean_log), np.sqrt(m2 / (total - 1))

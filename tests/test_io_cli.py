@@ -97,6 +97,8 @@ class TestCsvValidation:
          "row 3: expected 4 columns, got 3"),
         (read_spectrogram_csv, "0,0.25,0.5\n1,0.1,oops,0.3\n", "row 2: .*'oops'"),
         (read_spectrogram_csv, "0,0.25,x\n1,0.1,0.2,0.3\n", "row 1: .*'x'"),
+        (read_spectrogram_csv, "0,nan,0.5\n1,0.1,0.2,0.3\n",
+         "row 1: frequency grid must be finite, got nan at index 1"),
         (read_coeffs_csv, "", "no numeric data"),
         (read_coeffs_csv, "t,a1,a2\n", "no numeric data"),
         (read_coeffs_csv, "t,a1,a2\n1,0.5,0.1\n\n3,0.5\n",
@@ -109,7 +111,8 @@ class TestCsvValidation:
     def test_bad_rows_are_named(self, tmp_path, reader, text, match):
         """Every reader names the file and the 1-based row of a ragged or
         non-numeric row, and refuses a file without data rows; the series
-        reader also names a non-finite cell."""
+        reader also names a non-finite cell, and the spectrogram reader a
+        header that is not a frequency grid."""
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=match) as err:

@@ -1,8 +1,11 @@
 """Spectral density, ASE scoring, and posterior surface tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from blf import spectrum
 from blf.dlm import DiscountPair, default_prior
 from blf.lattice import run_lattice
 from blf.spectrum import (
@@ -14,6 +17,18 @@ from blf.spectrum import (
     tvar_spectrum,
 )
 from blf.tvar import TvarFit, path_sampler
+from helpers import unblocked_posterior
+
+BAD_GRIDS = [
+    ([0.0, np.nan, 0.3], "finite, got nan at index 1"),
+    ([0.0, np.inf], "finite, got inf at index 1"),
+    ([], "non-empty 1-D"),
+    ([[0.1, 0.2]], "non-empty 1-D"),
+    ([0.2, 0.1], "increasing"),
+    ([0.1, 0.1], "increasing"),
+    ([0.1, 0.7], "0, 1/2"),
+    ([-0.1, 0.2], "0, 1/2"),
+]
 
 
 def const_fit(coeffs_row, sigma2=1.0, T=4):
@@ -67,6 +82,14 @@ class TestTvarSpectrum:
             Spectrogram(times=[1], freqs=[0.2, 0.1], values=[[1.0, 1.0]])
         with pytest.raises(ValueError, match="0, 1/2"):
             Spectrogram(times=[1], freqs=[0.2, 0.7], values=[[1.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Spectrogram(times=[1], freqs=[0.2, np.nan], values=[[1.0, 1.0]])
+
+    @pytest.mark.parametrize("freqs, match", BAD_GRIDS)
+    def test_rejects_bad_grid(self, freqs, match):
+        """NaN fails every ordered comparison, so it needs its own check."""
+        with pytest.raises(ValueError, match=match):
+            tvar_spectrum(const_fit([0.5]), freqs)
 
     def test_freq_step_must_divide_half(self):
         """A step outside (0, 0.5] or one that does not divide 0.5 evenly is
@@ -162,6 +185,69 @@ class TestSpectrumPosterior:
         with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
             spectrum_posterior(draw, 10, chunk=chunk)
 
+    @pytest.mark.parametrize("freqs, match", BAD_GRIDS)
+    def test_rejects_bad_grid_before_drawing(self, freqs, match):
+        def draw(rng, size):
+            raise AssertionError("no draw may be made")
+
+        with pytest.raises(ValueError, match=match):
+            spectrum_posterior(draw, 256, freqs)
+
     def test_requires_two_draws(self):
         with pytest.raises(ValueError, match="n_draws"):
             spectrum_posterior(lambda rng, size: None, 1)
+
+
+def random_draws(T, P=3):
+    def draw(rng, size):
+        return (rng.uniform(-0.3, 0.3, size=(size, T, P)),
+                rng.uniform(0.5, 2.0, size=(size, T)))
+    return draw
+
+
+def constant_draws(T, draws=64):
+    """Constant coefficient paths, made once; each call returns views."""
+    coeffs = np.tile([0.5, -0.3], (draws, T, 1))
+    sigma2 = np.ones((draws, T))
+    return lambda rng, size: (coeffs[:size], sigma2[:size])
+
+
+class TestTimeBlocks:
+    """``spectrum_posterior`` evaluates each chunk over equal blocks of time
+    steps, each within ``_BLOCK_BYTES`` of complex transfer (40 steps at 64
+    draws x 101 frequencies) or else two steps long."""
+
+    @pytest.mark.parametrize("draw, T, L, n_draws, chunk", [
+        (random_draws, 100, 101, 130, 64),   # blocks 33, 33, 34; last chunk 2
+        (random_draws, 7, 5000, 70, 64),     # one step over budget: 2, 2, 3
+        (random_draws, 100, 101, 30, 100),   # chunk > n_draws: blocks 50, 50
+        (constant_draws, 100, 101, 130, 64),
+    ])
+    def test_blocked_equals_unblocked_bitwise(self, draw, T, L, n_draws, chunk):
+        freqs = np.linspace(0.0, 0.5, L)
+        mean, sd = spectrum_posterior(draw(T), n_draws, freqs,
+                                      np.random.default_rng(7), chunk=chunk)
+        ref_mean, ref_sd = unblocked_posterior(draw(T), n_draws, freqs,
+                                               np.random.default_rng(7), chunk)
+        assert np.array_equal(mean.values, ref_mean)
+        assert np.array_equal(sd.values, ref_sd)
+
+    def test_one_step_exceeds_budget(self):
+        """The over-budget case above needs one step of a 64-draw chunk over
+        5000 frequencies to exceed the block budget."""
+        assert 16 * 64 * 5000 > spectrum._BLOCK_BYTES
+
+    @pytest.mark.parametrize("T", [512, 4096])
+    def test_density_memory_is_bounded(self, T):
+        """The traced peak beyond the two (T, L) outputs stays within four
+        block budgets whatever T is; whole 64-draw chunks need about 27 MiB
+        at T=512 and 212 MiB at T=4096 on 21 frequencies."""
+        freqs = default_freq_grid(0.025)
+        draw = constant_draws(T)
+        tracemalloc.start()
+        try:
+            spectrum_posterior(draw, 128, freqs, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * T * len(freqs) * 8 < 4 * spectrum._BLOCK_BYTES
