@@ -142,9 +142,15 @@ def read_spectrogram_csv(path, log_cells: bool = True) -> Spectrogram:
     except ValueError as err:
         raise ValueError(f"{path}: row {rows[0][0]}: {err}") from None
     table = _parse_rows(path, rows[1:], len(freqs) + 1)
+    times = table[:, 0]
+    # NaN fails the comparison, so it is refused with inf and int64 overflow.
+    bad = np.flatnonzero(~(np.abs(times) < 2.0**63) | (times != np.round(times)))
+    if bad.size:
+        i, row = rows[1 + bad[0]]
+        raise ValueError(f"{path}: row {i}: time must be an integer, got {row[0]!r}")
     cells = table[:, 1:]
     values = np.exp(cells) if log_cells else cells
-    return Spectrogram(times=table[:, 0].astype(int), freqs=freqs, values=values)
+    return Spectrogram(times=times.astype(int), freqs=freqs, values=values)
 
 
 def write_scree_csv(path, report: SelectionReport) -> None:

@@ -93,20 +93,24 @@ class Spectrogram:
         )
 
 
-# Bytes of complex128 transfer per time block of spectrum_posterior: at
-# most 40 steps at 64 draws x 101 frequencies.
-_BLOCK_BYTES = 1 << 22
+# Bytes of cos and sin parts per time block of spectrum_posterior, 16 per
+# (draw, t, freq) cell: at most 10 steps at 64 draws x 101 frequencies.
+_BLOCK_BYTES = 1 << 20
 
 
-def _ar_density(coeffs: np.ndarray, sigma2: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """sigma2 / |1 - sum_m a_m e^{-2 pi i m w}|^2 for coeffs (..., T, P)."""
-    P = coeffs.shape[-1]
-    lags = np.arange(1, P + 1)
-    basis = np.exp(-2j * np.pi * np.outer(lags, freqs))  # (P, L)
-    transfer = 1.0 - coeffs @ basis  # (..., T, L)
-    denom = transfer.real**2 + transfer.imag**2
-    with np.errstate(divide="ignore"):
-        return sigma2[..., None] / denom
+def _transfer_power(coeffs: np.ndarray, freqs: np.ndarray, work=None) -> np.ndarray:
+    """|1 - sum_m a_m e^{-2 pi i m w}|^2 for coeffs (..., T, P), in real
+    arithmetic: (1 - sum_m a_m cos 2 pi m w)^2 + (sum_m a_m sin 2 pi m w)^2.
+    The cos and sin parts go to the front of the flat array ``work`` if given.
+    """
+    angle = 2.0 * np.pi * np.outer(np.arange(1, coeffs.shape[-1] + 1), freqs)
+    shape = (2, *coeffs.shape[:-1], len(freqs))
+    out = np.empty(shape) if work is None else work[:np.prod(shape)].reshape(shape)
+    re = np.matmul(coeffs, np.cos(angle), out=out[0])
+    im = np.matmul(coeffs, np.sin(angle), out=out[1])
+    np.square(np.subtract(1.0, re, out=re), out=re)
+    re += np.square(im, out=im)
+    return re
 
 
 def tvar_spectrum(fit: TvarFit, freqs=None) -> Spectrogram:
@@ -116,7 +120,9 @@ def tvar_spectrum(fit: TvarFit, freqs=None) -> Spectrogram:
     an error; ``ase`` refuses such surfaces downstream.
     """
     freqs = default_freq_grid() if freqs is None else _check_grid(freqs)
-    values = _ar_density(fit.coeffs, np.asarray(fit.sigma2, dtype=float), freqs)
+    sigma2 = np.asarray(fit.sigma2, dtype=float)
+    with np.errstate(divide="ignore"):
+        values = sigma2[:, None] / _transfer_power(fit.coeffs, freqs)
     T = fit.coeffs.shape[0]
     return Spectrogram(times=np.arange(1, T + 1), freqs=freqs, values=values)
 
@@ -157,10 +163,11 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
     rng : numpy.random.Generator, optional
     chunk : int
         Draws per ``draw_paths`` call (>= 1).  The sampler's arrays scale
-        with chunk x T x P.  The density, its log and the moments of each
-        chunk are evaluated over blocks of time steps whose complex transfer
-        holds about ``_BLOCK_BYTES`` (4 MiB), and at least two steps, so
-        their memory does not grow with T.
+        with chunk x T x P.  Each chunk's log density,
+        log sigma^2 - log |A(w)|^2 in real arithmetic, and its moments are
+        evaluated over blocks of time steps whose cos and sin parts hold
+        about ``_BLOCK_BYTES`` (1 MiB), and at least two steps, so their
+        memory does not grow with T.
 
     Returns
     -------
@@ -175,9 +182,10 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
     freqs = default_freq_grid() if freqs is None else _check_grid(freqs)
     rng = np.random.default_rng() if rng is None else rng
 
-    # Chan/Welford merge from zero draws: exact zeros for degenerate posteriors.
-    # Every (t, w) cell is merged on its own, so a time block at a time
-    # gives the same bits as the whole chunk at once.
+    # Chan/Welford merge from zero draws of chunk moments taken about the
+    # chunk's first draw: exact zeros for degenerate posteriors.  Every
+    # (t, w) cell is merged on its own, so a time block at a time gives the
+    # same bits as the whole chunk at once.
     total = 0
     mean_log = m2 = None
     while total < n_draws:
@@ -193,16 +201,25 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
         step = max(1, _BLOCK_BYTES // (16 * size * len(freqs)))
         n_blocks = max(1, min(-(-T // step), T // 2))
         edges = [T * i // n_blocks for i in range(n_blocks + 1)]
+        # One work array for all blocks: a fresh one per block faults anew.
+        work = np.empty(2 * size * -(-T // n_blocks) * len(freqs))
         for block in map(slice, edges[:-1], edges[1:]):
-            logs = np.log(_ar_density(coeffs[:, block], sigma2[:, block], freqs))
+            logs = _transfer_power(coeffs[:, block], freqs, work)
+            with np.errstate(divide="ignore"):  # a unit root gives log S = +inf
+                np.log(logs, out=logs)
+            np.subtract(np.log(sigma2[:, block])[..., None], logs, out=logs)
+            shift = logs[0].copy()
+            logs -= shift
             cmean = logs.mean(axis=0)
             logs -= cmean
             cm2 = np.square(logs, out=logs).sum(axis=0)
+            cmean += shift
             delta = cmean - mean_log[block]
             mean_log[block] += delta * weight
             m2[block] += cm2  # two adds: (m2 + cm2) + spread term, in that order
             m2[block] += delta**2 * spread
         total += size
+        del coeffs, sigma2  # free this chunk's paths before the next draw
 
     m2 /= total - 1
     times = np.arange(1, T + 1)

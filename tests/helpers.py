@@ -9,7 +9,7 @@ one, and posterior moments of whole chunks instead of time blocks.
 
 import numpy as np
 
-from blf.spectrum import _ar_density
+from blf.spectrum import _transfer_power
 
 
 def static_nig_posterior(y, x, prior):
@@ -76,6 +76,8 @@ def classical_levinson(parcor):
 def unblocked_posterior(draw_paths, n_draws, freqs, rng, chunk=64):
     """Posterior mean and sd of log S with each chunk of draws evaluated
     over all time steps at once, merged by Chan/Welford from zero draws.
+    Each cell's log S is log sigma^2 - log |A(w)|^2, and each chunk's
+    moments are taken about its first draw, as in the library.
 
     Returns the ``values`` of ``spectrum_posterior``'s (mean, sd) pair.
     """
@@ -84,9 +86,12 @@ def unblocked_posterior(draw_paths, n_draws, freqs, rng, chunk=64):
     while total < n_draws:
         size = min(chunk, n_draws - total)
         coeffs, sigma2 = draw_paths(rng, size)
-        logs = np.log(_ar_density(coeffs, sigma2, freqs))
-        cmean = logs.mean(axis=0)
-        cm2 = ((logs - cmean) ** 2).sum(axis=0)
+        with np.errstate(divide="ignore"):
+            logs = np.log(sigma2)[..., None] - np.log(_transfer_power(coeffs, freqs))
+        dev = logs - logs[0]
+        cmean = dev.mean(axis=0)
+        cm2 = ((dev - cmean) ** 2).sum(axis=0)
+        cmean = cmean + logs[0]
         delta = cmean - mean_log
         mean_log = mean_log + delta * (size / (total + size))
         m2 = m2 + cm2 + delta**2 * (total * size / (total + size))

@@ -81,11 +81,12 @@ class TestSpectrogramCsv:
     def test_linear_cells_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(43)
         freqs = default_freq_grid(0.1)
-        spg = Spectrogram(np.arange(1, 4), freqs,
+        spg = Spectrogram(np.array([-4, 0, 1024]), freqs,
                           rng.uniform(0, 2, size=(3, len(freqs))))
         path = tmp_path / "sd.csv"
         write_spectrogram_csv(path, spg, log_cells=False)
         back = read_spectrogram_csv(path, log_cells=False)
+        assert back.same_grid(spg) and back.times.dtype.kind == "i"
         np.testing.assert_array_equal(back.values, spg.values)
 
 
@@ -99,6 +100,14 @@ class TestCsvValidation:
         (read_spectrogram_csv, "0,0.25,x\n1,0.1,0.2,0.3\n", "row 1: .*'x'"),
         (read_spectrogram_csv, "0,nan,0.5\n1,0.1,0.2,0.3\n",
          "row 1: frequency grid must be finite, got nan at index 1"),
+        (read_spectrogram_csv, "0,0.5\n1,1,2\nnan,1,2\n",
+         "row 3: time must be an integer, got 'nan'"),
+        (read_spectrogram_csv, "0,0.5\n\ninf,1,2\n",
+         "row 3: time must be an integer, got 'inf'"),
+        (read_spectrogram_csv, "0,0.5\n2.7,1,2\n",
+         "row 2: time must be an integer, got '2.7'"),
+        (read_spectrogram_csv, "0,0.5\n1e19,1,2\n",
+         "row 2: time must be an integer, got '1e19'"),
         (read_coeffs_csv, "", "no numeric data"),
         (read_coeffs_csv, "t,a1,a2\n", "no numeric data"),
         (read_coeffs_csv, "t,a1,a2\n1,0.5,0.1\n\n3,0.5\n",
@@ -112,7 +121,8 @@ class TestCsvValidation:
         """Every reader names the file and the 1-based row of a ragged or
         non-numeric row, and refuses a file without data rows; the series
         reader also names a non-finite cell, and the spectrogram reader a
-        header that is not a frequency grid."""
+        header that is not a frequency grid and a time cell that is not an
+        integer within int64."""
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=match) as err:

@@ -1,6 +1,8 @@
 """Spectral density, ASE scoring, and posterior surface tests."""
 
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,14 +12,14 @@ from blf.dlm import DiscountPair, default_prior
 from blf.lattice import run_lattice
 from blf.spectrum import (
     Spectrogram,
-    _ar_density,
+    _transfer_power,
     ase,
     default_freq_grid,
     spectrum_posterior,
     tvar_spectrum,
 )
 from blf.tvar import TvarFit, path_sampler
-from helpers import unblocked_posterior
+from helpers import classical_levinson, unblocked_posterior
 
 BAD_GRIDS = [
     ([0.0, np.nan, 0.3], "finite, got nan at index 1"),
@@ -59,10 +61,9 @@ class TestTvarSpectrum:
     def test_frequency_symmetry(self):
         rng = np.random.default_rng(23)
         coeffs = rng.uniform(-0.4, 0.4, size=(3, 4))
-        sigma2 = rng.uniform(0.5, 2.0, size=3)
         w = np.linspace(0.01, 0.49, 17)
-        pos = _ar_density(coeffs, sigma2, w)
-        neg = _ar_density(coeffs, sigma2, -w)
+        pos = _transfer_power(coeffs, w)
+        neg = _transfer_power(coeffs, -w)
         np.testing.assert_allclose(pos, neg, rtol=1e-13)
 
     def test_scaling_equivariance(self):
@@ -99,6 +100,71 @@ class TestTvarSpectrum:
         for bad in (0.0, -0.01, 0.3, 0.6, 0.0051, np.nan):
             with pytest.raises(ValueError, match="frequency step"):
                 default_freq_grid(bad)
+
+
+def definition_density(coeffs, sigma2, freqs):
+    """sigma2 / |1 - sum_m a_m e^{-2 pi i m w}|^2 in complex arithmetic."""
+    lags = np.arange(1, coeffs.shape[-1] + 1)
+    transfer = 1.0 - coeffs @ np.exp(-2j * np.pi * np.outer(lags, freqs))
+    return sigma2[..., None] / np.abs(transfer) ** 2
+
+
+def ar_with_roots(*pairs):
+    """AR coefficients whose characteristic roots are r e^{+-2 pi i w} for
+    each (r, w) in ``pairs``."""
+    roots = [r * np.exp(sign * 2j * np.pi * w) for r, w in pairs for sign in (1, -1)]
+    return -np.poly(roots)[1:].real
+
+
+class TestRealKernel:
+    """The real-arithmetic density against its complex definition."""
+
+    @pytest.mark.parametrize("P", [1, 2, 6, 10])
+    def test_matches_definition(self, P):
+        rng = np.random.default_rng(40 + P)
+        coeffs = np.array([classical_levinson(rng.uniform(-0.95, 0.95, P))
+                           for _ in range(12)])
+        sigma2 = rng.uniform(0.5, 2.0, 12)
+        freqs = default_freq_grid()
+        values = tvar_spectrum(TvarFit(coeffs, sigma2), freqs).values
+        np.testing.assert_allclose(values, definition_density(coeffs, sigma2, freqs),
+                                   rtol=1e-12)
+        signs = (-1.0) ** np.arange(1, P + 1)  # e^{-i pi m} at w = 1/2
+        np.testing.assert_allclose(values[:, 0], sigma2 / (1 - coeffs.sum(1)) ** 2,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(values[:, -1], sigma2 / (1 - coeffs @ signs) ** 2,
+                                   rtol=1e-12)
+
+    def test_real_roots_near_unit_circle(self):
+        """Roots +-(1 - 1e-6) peak at 1e12 at w = 0 and w = 1/2."""
+        r = 1.0 - 1e-6
+        spg = tvar_spectrum(TvarFit(np.array([[r], [-r]]), np.ones(2)),
+                            np.array([0.0, 0.5]))
+        np.testing.assert_allclose(np.diag(spg.values), 1.0 / (1.0 - r) ** 2,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("w", [0.1, 0.25, 0.37])
+    def test_complex_roots_near_unit_circle(self, w):
+        """|A| falls to about 1e-6 at the peak, so a rounding of eps in A
+        moves the density by about 1e-10 relative in either arithmetic.
+        A cosine polynomial for |A|^2 squares that: up to 8e-5 here."""
+        r = 1.0 - 1e-6
+        coeffs = np.array([[*ar_with_roots((r, w)), 0.0, 0.0],
+                           ar_with_roots((r, w), (0.9, 0.3))])
+        freqs = np.linspace(0.0, 0.5, 201)
+        values = tvar_spectrum(TvarFit(coeffs, np.ones(2)), freqs).values
+        np.testing.assert_allclose(values, definition_density(coeffs, np.ones(2), freqs),
+                                   rtol=1e-9)
+        assert values[0].max() > 1e11
+
+    def test_exact_unit_root_is_infinite_without_warning(self):
+        """(1 - z)(1 - z/2) has a root at z = 1: S(0) = +inf, no warning."""
+        fit = TvarFit(np.array([[1.0, 0.0], [1.5, -0.5]]), np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = tvar_spectrum(fit, np.array([0.0, 0.2, 0.5])).values
+        assert np.all(values[:, 0] == np.inf)
+        assert np.all(np.isfinite(values[:, 1:]))
 
 
 class TestAse:
@@ -150,9 +216,9 @@ class TestSpectrumPosterior:
 
         mean, sd = spectrum_posterior(draw, 64, default_freq_grid(),
                                       np.random.default_rng(0))
-        assert np.all(sd.values < 1e-12)
+        assert np.all(sd.values == 0.0)
         expect = tvar_spectrum(const_fit([0.5, -0.2], T=20), default_freq_grid())
-        np.testing.assert_allclose(mean.values, expect.values, rtol=1e-12)
+        np.testing.assert_allclose(mean.values, expect.values, rtol=1e-14)
 
     def test_white_noise_fit_sd_flat_over_frequency(self):
         rng = np.random.default_rng(25)
@@ -214,13 +280,14 @@ def constant_draws(T, draws=64):
 
 class TestTimeBlocks:
     """``spectrum_posterior`` evaluates each chunk over equal blocks of time
-    steps, each within ``_BLOCK_BYTES`` of complex transfer (40 steps at 64
+    steps, each within ``_BLOCK_BYTES`` of cos and sin parts (10 steps at 64
     draws x 101 frequencies) or else two steps long."""
 
     @pytest.mark.parametrize("draw, T, L, n_draws, chunk", [
-        (random_draws, 100, 101, 130, 64),   # blocks 33, 33, 34; last chunk 2
+        (random_draws, 100, 101, 130, 64),   # ten blocks of 10; last chunk 2
+        (random_draws, 103, 101, 130, 64),   # eleven blocks of 9 or 10
         (random_draws, 7, 5000, 70, 64),     # one step over budget: 2, 2, 3
-        (random_draws, 100, 101, 30, 100),   # chunk > n_draws: blocks 50, 50
+        (random_draws, 100, 101, 30, 100),   # chunk > n_draws: five blocks of 20
         (constant_draws, 100, 101, 130, 64),
     ])
     def test_blocked_equals_unblocked_bitwise(self, draw, T, L, n_draws, chunk):
@@ -236,6 +303,19 @@ class TestTimeBlocks:
         """The over-budget case above needs one step of a 64-draw chunk over
         5000 frequencies to exceed the block budget."""
         assert 16 * 64 * 5000 > spectrum._BLOCK_BYTES
+
+    def test_frees_each_chunk_of_paths_before_the_next_draw(self):
+        """Two chunks of sampler paths are never alive at once."""
+        drawn = []
+
+        def draw(rng, size):
+            assert all(ref() is None for ref in drawn)
+            coeffs = np.full((size, 8, 2), 0.1)
+            drawn.append(weakref.ref(coeffs))
+            return coeffs, np.ones((size, 8))
+
+        spectrum_posterior(draw, 200, default_freq_grid(0.05), np.random.default_rng(0))
+        assert len(drawn) == 4
 
     @pytest.mark.parametrize("T", [512, 4096])
     def test_density_memory_is_bounded(self, T):
