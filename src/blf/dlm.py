@@ -18,8 +18,8 @@ discount-grid searches cheap.
 
 Every recurrence is first-order linear and runs through one kernel,
 ``_scan``: the forward filter (in information form) forwards in time, the
-smoother and the sampler backwards on time-reversed views.  A step that did
-not learn is a unit step of the recurrence, y_t = 1 * y_{t-1} + 0.
+smoother and the sampler backwards on time-reversed views.  Every step
+learns: a regression observes only the steps it has.
 """
 
 from __future__ import annotations
@@ -82,16 +82,16 @@ class DiscountPair:
 
 @dataclass
 class FilterState:
-    """Sequential-update trajectories for t = 1..T (row t-1 of each array).
+    """Sequential-update trajectories over n steps.
 
-    ``mu``/``c`` are the location and scale of the coefficient's marginal
-    t-posterior, ``v``/``kappa`` the gamma parameters of the precision
-    posterior (shape v/2, rate kappa/2), ``s = kappa/v`` the variance point
-    estimate, and ``e``/``q`` the one-step forecast error and its scale at
-    every step.  ``updated`` marks times where the posterior also learned
-    from it; elsewhere it was carried forward unchanged.  ``gamma`` and
-    ``delta`` are the discounts the pass ran at (scalars, or length-G
-    arrays in batch mode); smoothing and sampling read them from here.
+    Row t of ``mu``, ``c``, ``v``, ``kappa`` and ``s`` is time t = 0..n, row 0
+    the prior: ``mu``/``c`` are the location and scale of the coefficient's
+    marginal t-posterior, ``v``/``kappa`` the gamma parameters of the
+    precision posterior (shape v/2, rate kappa/2) and ``s = kappa/v`` the
+    variance point estimate.  Row t-1 of ``e``/``q`` is the one-step forecast
+    error and its scale at step t = 1..n.  ``gamma`` and ``delta`` are the
+    discounts the pass ran at (scalars, or length-G arrays in batch mode);
+    smoothing and sampling read them from here.
     """
 
     mu: np.ndarray
@@ -101,8 +101,6 @@ class FilterState:
     s: np.ndarray
     e: np.ndarray
     q: np.ndarray
-    updated: np.ndarray
-    prior: NIGPrior
     gamma: np.ndarray
     delta: np.ndarray
 
@@ -142,13 +140,13 @@ def _validate_series(arr, name: str) -> np.ndarray:
     return arr
 
 
-def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> FilterState:
-    """Run the sequential conjugate updates over t = 1..T.
+def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
+    """Run the sequential conjugate updates over steps t = 1..n.
 
     The filter runs in information form on the scale-free precision
     P = s/c (discount-weighted regression; Ameen & Harrison 1984, West &
     Harrison 1997 ch. 10).  Every step forecasts with the first three
-    lines; a step that learns also runs the four recurrences below them::
+    lines and learns with the four recurrences below them::
 
         g_t     = 1 + x_t^2 / (gamma P_{t-1})
         e_t     = y_t - mu_{t-1} x_t
@@ -161,21 +159,15 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> Filt
     from P_0 = s_0/c_0, with s = kappa/v and c = s/P: the covariance form
     (r = c_{t-1}/gamma, q_t = r x_t^2 + s_{t-1}) rewritten on P, where
     1/g_t = gamma P_{t-1} / P_t.  So the filter is four calls of one
-    first-order linear scan, and a step that does not learn is a unit step
-    (a_t = 1, b_t = 0) in all four.
+    first-order linear scan.
 
     Parameters
     ----------
-    y, x : array_like, shape (T,) or (T, G)
+    y, x : array_like, shape (n,) or (n, G)
         Response and regressor series.
     prior : NIGPrior
     d : DiscountPair
         ``gamma``/``delta`` may be scalars or length-G arrays in batch mode.
-    updated : array_like of bool, shape (T,), optional
-        Steps where an observation update occurs.  Elsewhere the forecast is
-        still recorded but the posterior is carried forward with no
-        discounting; the lattice stages mask the boundary times where the
-        lagged regressor does not exist (x_t = 0, so e_t = y_t).
 
     Returns
     -------
@@ -185,12 +177,9 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> Filt
     x = _validate_series(x, "x")
     if y.shape != x.shape:
         raise ValueError(f"y and x must have equal shape, got {y.shape} vs {x.shape}")
-    T = y.shape[0]
-    if T < 1:
+    n = y.shape[0]
+    if n < 1:
         raise ValueError("need at least one observation")
-    updated = np.ones(T, dtype=bool) if updated is None else np.asarray(updated, bool)
-    if updated.shape != (T,):
-        raise ValueError("updated mask must have shape (T,)")
 
     gamma = np.asarray(d.gamma, dtype=float)
     delta = np.asarray(d.delta, dtype=float)
@@ -198,39 +187,29 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair, updated=None) -> Filt
     # Trailing unit axes let a 1-D series broadcast against length-G discounts.
     x = x.reshape(x.shape + (1,) * (len(shape) + 1 - x.ndim))
     y = y.reshape(x.shape)
-    gamma_t, delta_t = _step_discounts(updated, gamma, delta, x.ndim)
 
-    def learned(b, unit=0.0):
-        b[~updated] = unit
-        return b
-
-    # Row t of P, mu, v and kappa is time t = 0..T: row 0 is the prior and
-    # the lagged values are views.  Work in place and drop gamma_t early:
-    # every (T, G) array alive at once adds to the peak memory of a search.
+    # Row t of P, mu, v and kappa is time t = 0..n: row 0 is the prior and
+    # the lagged values are views.  Work in place: every (n, G) array alive
+    # at once adds to the peak memory of a search.
     zero = np.zeros(shape)
-    P = _scan(gamma_t, learned(x * x), zero + prior.kappa0 / prior.v0 / prior.c0)
-    del gamma_t
+    P = _scan(_steps(gamma, n), x * x, zero + prior.kappa0 / prior.v0 / prior.c0)
     g = np.multiply(gamma, P[:-1])
     np.divide(x * x, g, out=g)
     g += 1.0
-    mu = _scan(learned(1.0 / g, 1.0), learned(x * y / P[1:]), zero + prior.mu0)
-    v = _scan(delta_t, learned(np.ones_like(x)), zero + prior.v0)
+    mu = _scan(1.0 / g, x * y / P[1:], zero + prior.mu0)
+    v = _scan(_steps(delta, n), _steps(1.0, n), zero + prior.v0)
     e = y - mu[:-1] * x
-    kappa = _scan(delta_t, learned(e * e / g), zero + prior.kappa0)
+    kappa = _scan(_steps(delta, n), e * e / g, zero + prior.kappa0)
     s = kappa / v
     q = np.multiply(s[:-1], g, out=g)
-    c = np.divide(s[1:], P[1:], out=P[1:])
-    return FilterState(
-        mu=mu[1:], c=c, v=v[1:], kappa=kappa[1:], s=s[1:], e=e, q=q,
-        updated=updated, prior=prior, gamma=gamma, delta=delta,
-    )
+    c = np.divide(s, P, out=P)
+    return FilterState(mu=mu, c=c, v=v, kappa=kappa, s=s, e=e, q=q,
+                       gamma=gamma, delta=delta)
 
 
-def _step_discounts(learned: np.ndarray, gamma, delta, ndim: int):
-    """Per-step discounts (gamma_t, delta_t): the given ones where the step
-    learned, else 1, a unit step that carries the posterior unchanged."""
-    learned = learned.reshape((-1,) + (1,) * (ndim - 1))
-    return np.where(learned, gamma, 1.0), np.where(learned, delta, 1.0)
+def _steps(a, n: int) -> np.ndarray:
+    """``a`` repeated over n steps, as a broadcast view."""
+    return np.broadcast_to(a, (n,) + np.shape(a))
 
 
 def _scan(a: np.ndarray, b: np.ndarray, first) -> np.ndarray:
@@ -244,32 +223,32 @@ def _scan(a: np.ndarray, b: np.ndarray, first) -> np.ndarray:
     return y
 
 
-def _backward(a: np.ndarray, b: np.ndarray, last) -> np.ndarray:
-    """``y[T-1] = last``, then ``y[t] = a[t] y[t+1] + b[t]`` for t = T-2..0."""
-    return _scan(a[::-1], b[::-1], last)[::-1]
+def _backward(a, b: np.ndarray, last) -> np.ndarray:
+    """``y[n] = last``, then ``y[t] = a y[t+1] + b[t]`` for t = n-1..0, with
+    ``a`` the same at every step."""
+    return _scan(_steps(a, len(b)), b[::-1], last)[::-1]
 
 
 def backward_smooth(fs: FilterState) -> SmoothState:
     """Retrospective smoothing of a completed forward pass, at the discounts
     ``fs.gamma``/``fs.delta`` the pass ran at.
 
-    Initialised at t = T from the filtered values, then for t = T-1..1::
+    Initialised at t = n from the filtered values, then for t = n-1..0::
 
-        mu_{t|T}  = gamma_t mu_{t+1|T} + (1-gamma_t) mu_t
-        1/s_{t|T} = delta_t / s_{t+1|T} + (1-delta_t) / s_t
-        v_{t|T}   = delta_t v_{t+1|T} + (1-delta_t) v_t
-        C*_{t|T}  = gamma_t^2 C*_{t+1|T} + (1-gamma_t) c_t / s_t
-        c_{t|T}   = C*_{t|T} s_{t|T}
-        kappa_{t|T} = v_{t|T} s_{t|T}
+        mu_{t|n}  = gamma mu_{t+1|n} + (1-gamma) mu_t
+        1/s_{t|n} = delta / s_{t+1|n} + (1-delta) / s_t
+        v_{t|n}   = delta v_{t+1|n} + (1-delta) v_t
+        C*_{t|n}  = gamma^2 C*_{t+1|n} + (1-gamma) c_t / s_t
+        c_{t|n}   = C*_{t|n} s_{t|n}
+        kappa_{t|n} = v_{t|n} s_{t|n}
 
     The coefficient-scale recursion runs on the scale-free variance factor
     C* = c/s and re-attaches the smoothed variance estimate once per time
-    point; folding the ratio s_{t|T}/s_t into the recursion itself would
-    compound it backwards and blow the scale up.  Where step t+1 did not
-    learn, gamma_t = delta_t = 1 and the smoothed values carry back
-    unchanged.  The t = T rows of ``s`` and ``c`` are the filter's own.
+    point; folding the ratio s_{t|n}/s_t into the recursion itself would
+    compound it backwards and blow the scale up.  Rows are times 0..n, as
+    in the filter; the t = n rows of ``s`` and ``c`` are the filter's own.
     """
-    gamma, delta = _step_discounts(fs.updated[1:], fs.gamma, fs.delta, fs.mu.ndim)
+    gamma, delta = fs.gamma, fs.delta
     s_t = fs.s[:-1]
     mu = _backward(gamma, (1.0 - gamma) * fs.mu[:-1], fs.mu[-1])
     v = _backward(delta, (1.0 - delta) * fs.v[:-1], fs.v[-1])
@@ -283,26 +262,19 @@ def backward_smooth(fs: FilterState) -> SmoothState:
 
 
 def predictive_loglik(fs: FilterState) -> float | np.ndarray:
-    """Sum of one-step predictive log densities over the updated steps.
+    """Sum of the one-step predictive log densities of steps 1..n.
 
     Each predictive p(y_t | D_{t-1}) is Student-t with v_{t-1} degrees of
     freedom, location mu_{t-1} x_t and squared scale q_t, i.e. the t density
     evaluated at the forecast error e_t with location 0.  Returns a scalar
     for 1-D states, a length-G array in batch mode.
     """
-    v_lag = np.concatenate(
-        [np.broadcast_to(np.float64(fs.prior.v0), (1,) + fs.v.shape[1:]), fs.v[:-1]],
-        axis=0,
-    )
-    if np.any(v_lag <= 0.0):
+    df, e, q = fs.v[:-1], fs.e, fs.q
+    if np.any(df <= 0.0):
         raise ValueError("degrees of freedom must be positive")
-    upd = fs.updated
-    df = v_lag[upd]
-    e = fs.e[upd]
-    q = fs.q[upd]
-    # The df follow v_t = delta v_{t-1} + 1 from v0 on the shared mask, so
-    # columns with equal delta have equal df: take the lgamma terms once per
-    # distinct delta and broadcast.
+    # The df follow v_t = delta v_{t-1} + 1 from v0, so columns with equal
+    # delta have equal df: take the lgamma terms once per distinct delta and
+    # broadcast.
     delta = np.broadcast_to(fs.delta, df.shape[1:]).ravel()
     _, first, inverse = np.unique(delta, return_index=True, return_inverse=True)
     df_u = df.reshape(len(df), delta.size)[:, first]
@@ -318,25 +290,24 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
 
 
 def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
-    """Draw joint posterior paths (theta_1..T, sigma^2_1..T) given D_T, at
+    """Draw joint posterior paths (theta_0..n, sigma^2_0..n) given D_n, at
     the discounts ``fs.gamma``/``fs.delta`` the forward pass ran at.
 
     The precision path runs backwards through the standard discount-model
-    construction: 1/sigma_T^2 ~ Gamma(v_T/2, rate kappa_T/2) and
+    construction: 1/sigma_n^2 ~ Gamma(v_n/2, rate kappa_n/2) and
 
-        1/sigma_t^2 = delta_t/sigma_{t+1}^2 + Gamma((1-delta_t) v_t/2, rate kappa_t/2).
+        1/sigma_t^2 = delta/sigma_{t+1}^2 + Gamma((1-delta) v_t/2, rate kappa_t/2).
 
-    Conditional on the variances, theta_T ~ N(mu_T, c_T sigma_T^2 / s_T) and
+    Conditional on the variances, theta_n ~ N(mu_n, c_n sigma_n^2 / s_n) and
 
-        theta_t | theta_{t+1} ~ N((1-gamma_t) mu_t + gamma_t theta_{t+1},
-                                  (1-gamma_t) c_t sigma_t^2 / s_t),
+        theta_t | theta_{t+1} ~ N((1-gamma) mu_t + gamma theta_{t+1},
+                                  (1-gamma) c_t sigma_t^2 / s_t),
 
-    whose marginal moments reproduce the smoothing recursions.  A step that
-    did not learn has gamma_t = delta_t = 1 and carries the next sampled
-    value back unchanged.  All draws are made up front, in four generator
-    calls: 1/sigma_T^2, every precision shock in backward-pass order,
-    theta_T's normal, then the normals of the steps with gamma_t < 1.  A
-    shock of shape 0 (delta_t = 1) is exactly 0 and uses no generator state.
+    whose marginal moments reproduce the smoothing recursions.  All draws
+    are made up front, in four generator calls: 1/sigma_n^2, every
+    precision shock in backward-pass order, theta_n's normal, then the
+    normals of steps n-1..0 when gamma < 1.  A shock of shape 0 (delta = 1)
+    is exactly 0 and uses no generator state.
 
     Parameters
     ----------
@@ -348,25 +319,25 @@ def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
 
     Returns
     -------
-    (theta_path, sigma2_path) : ndarray pair of shape (T, size)
+    (theta_path, sigma2_path) : ndarray pair of shape (n + 1, size)
+        Row t is time t = 0..n, as in the filter.
     """
     if fs.mu.ndim != 1:
         raise ValueError("backward_sample expects a filter over a single series")
-    gamma, delta = _step_discounts(fs.updated[1:], fs.gamma, fs.delta, fs.mu.ndim)
+    gamma, delta = fs.gamma, fs.delta
+    n = len(fs.mu) - 1
 
-    phi_T = rng.gamma(fs.v[-1] / 2.0, 2.0 / fs.kappa[-1], size=size)
+    phi_n = rng.gamma(fs.v[-1] / 2.0, 2.0 / fs.kappa[-1], size=size)
     shocks = rng.gamma(((1.0 - delta) * fs.v[:-1] / 2.0)[::-1, None],
-                       (2.0 / fs.kappa[:-1])[::-1, None], size=(len(delta), size))[::-1]
-    z_T = rng.standard_normal(size)
-    z = np.zeros(shocks.shape)
-    learns = np.flatnonzero(gamma < 1.0)[::-1]
-    z[learns] = rng.standard_normal((learns.size, size))
+                       (2.0 / fs.kappa[:-1])[::-1, None], size=(n, size))[::-1]
+    z_n = rng.standard_normal(size)
+    z = rng.standard_normal((n, size))[::-1] if gamma < 1.0 else np.zeros((n, size))
 
-    # Work in place: every (T, size) temporary adds to peak memory.
-    sigma2 = _backward(delta, shocks, phi_T)
+    # Work in place: every (n, size) temporary adds to peak memory.
+    sigma2 = _backward(delta, shocks, phi_n)
     np.divide(1.0, sigma2, out=sigma2)
-    theta_T = fs.mu[-1] + np.sqrt(fs.c[-1] / fs.s[-1] * sigma2[-1]) * z_T
+    theta_n = fs.mu[-1] + np.sqrt(fs.c[-1] / fs.s[-1] * sigma2[-1]) * z_n
     var = ((1.0 - gamma) * fs.c[:-1] / fs.s[:-1])[:, None]
     z *= np.sqrt(np.multiply(var, sigma2[:-1], out=shocks), out=shocks)
-    z += ((1.0 - gamma) * fs.mu[:-1])[:, None]  # offsets (1-gamma_t) mu_t + sd_t z_t
-    return _backward(gamma, z, theta_T), sigma2
+    z += ((1.0 - gamma) * fs.mu[:-1])[:, None]  # offsets (1-gamma) mu_t + sd_t z_t
+    return _backward(gamma, z, theta_n), sigma2

@@ -6,6 +6,10 @@ errors), each through the conjugate discount DLM of :mod:`blf.dlm`.  The
 smoothed regression coefficients are the stage-m partial autocorrelation
 trajectories, and subtracting their fitted contribution produces the
 order-m prediction-error series that feed the next stage.
+
+Each regression filters only the steps that have a regressor: the forward
+one t = m+1..T, the backward one t = 1..T-m.  The times without one take
+the nearest filter row (see :func:`filter_rows`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .dlm import (
     predictive_loglik,
 )
 
-__all__ = ["StageResult", "LatticeRun", "run_stage", "run_lattice"]
+__all__ = ["StageResult", "LatticeRun", "filter_rows", "run_stage", "run_lattice"]
 
 
 @dataclass
@@ -37,7 +41,8 @@ class StageResult:
     and ``f_next`` / ``b_next`` the prediction-error series for the next
     stage.  ``loglik`` is the one-step predictive log likelihood of the
     forward regression.  ``filter_f`` / ``filter_b`` are the two forward
-    passes, which carry the stage's discounts.
+    passes, which carry the stage's discounts; each has T-m+1 rows, mapped
+    to the times 1..T by :func:`filter_rows`.
     """
 
     m: int
@@ -70,24 +75,17 @@ class LatticeRun:
         return np.array([st.loglik for st in self.stages])
 
 
-def stage_regressors(f_prev: np.ndarray, b_prev: np.ndarray, m: int):
-    """Regressor series and update masks for the two stage-m regressions.
+def filter_rows(T: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row of the stage-m forward and backward filters for each time 1..T.
 
-    The forward regression has no regressor for the first m times (the
-    lagged backward error does not exist there); the backward regression
-    has none for the last m.  Those steps are masked out of the DLM update.
+    The forward filter's row j is time m+j and the backward filter's row j
+    is time j (j = 0..T-m, row 0 the prior).  A time without a regressor
+    takes the nearest row: t <= m the forward row 0 (time m, before its
+    first update), t > T-m the backward row T-m.  No time maps to the
+    backward row 0.
     """
-    T = f_prev.shape[0]
-    x_f = np.zeros_like(f_prev)
-    x_f[m:] = b_prev[: T - m]
-    mask_f = np.zeros(T, dtype=bool)
-    mask_f[m:] = True
-
-    x_b = np.zeros_like(b_prev)
-    x_b[: T - m] = f_prev[m:]
-    mask_b = np.zeros(T, dtype=bool)
-    mask_b[: T - m] = True
-    return x_f, mask_f, x_b, mask_b
+    times = np.arange(1, T + 1)
+    return np.maximum(times - m, 0), np.minimum(times, T - m)
 
 
 def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
@@ -121,26 +119,29 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     if not 1 <= m < T:
         raise ValueError(f"stage index m={m} must satisfy 1 <= m < T={T}")
 
-    x_f, mask_f, x_b, mask_b = stage_regressors(f_prev, b_prev, m)
-
-    fs_f = forward_filter(f_prev, x_f, prior, d, updated=mask_f)
-    sm_f = backward_smooth(fs_f)
-    fs_b = forward_filter(b_prev, x_b, prior, d, updated=mask_b)
-    sm_b = backward_smooth(fs_b)
-    if sm_f.mu.shape != f_prev.shape or sm_b.mu.shape != b_prev.shape:
+    # The forward regression runs over t = m+1..T, the backward over 1..T-m.
+    f_obs, b_obs = f_prev[m:], b_prev[:T - m]
+    fs_f = forward_filter(f_obs, b_obs, prior, d)
+    fs_b = forward_filter(b_obs, f_obs, prior, d)
+    if fs_f.mu.shape[1:] != f_prev.shape[1:]:
         raise ValueError("batched discounts need a (T, G) series, one column each")
+    sm_f = backward_smooth(fs_f)
+    sm_b = backward_smooth(fs_b)
 
-    f_next = f_prev - sm_f.mu * x_f
-    b_next = b_prev - sm_b.mu * x_b
+    f_next = f_prev.copy()
+    f_next[m:] -= sm_f.mu[1:] * b_obs
+    b_next = b_prev.copy()
+    b_next[:T - m] -= sm_b.mu[1:] * f_obs
 
     if not (np.all(np.isfinite(f_next)) and np.all(np.isfinite(b_next))):
         raise ValueError(f"non-finite residuals produced at stage m={m}")
 
+    rows_f, rows_b = filter_rows(T, m)
     return StageResult(
         m=m,
-        alpha=sm_f.mu, beta=sm_b.mu,
-        alpha_var=sm_f.c, beta_var=sm_b.c,
-        sf2=sm_f.s, sb2=sm_b.s,
+        alpha=sm_f.mu[rows_f], beta=sm_b.mu[rows_b],
+        alpha_var=sm_f.c[rows_f], beta_var=sm_b.c[rows_b],
+        sf2=sm_f.s[rows_f], sb2=sm_b.s[rows_b],
         f_next=f_next, b_next=b_next,
         loglik=predictive_loglik(fs_f),
         filter_f=fs_f, filter_b=fs_b,

@@ -36,7 +36,7 @@ from .dlm import (
     forward_filter,
     predictive_loglik,
 )
-from .lattice import LatticeRun, run_lattice, run_stage, stage_regressors
+from .lattice import LatticeRun, run_lattice, run_stage
 from .tvar import TvarFit, assemble_fit
 
 __all__ = [
@@ -159,21 +159,24 @@ def _causal_scree(x: np.ndarray, batch: DiscountPair, p_max: int,
                   prior: NIGPrior) -> np.ndarray:
     """Per-stage predictive log likelihoods of a causal lattice pass.
 
-    Stage outputs are the filters' one-step forecast errors; at masked
-    boundary times the regressor is 0, so the error is the input itself.
-    ``batch`` holds length-G discount arrays, one column per grid pair; the
-    result has shape (p_max, G).
+    Stage outputs are the filters' one-step forecast errors: the stage-m
+    forward errors cover t = m+1..T and the backward ones t = 1..T-m, so
+    stage m+1 regresses ``f[1:]`` on ``b[:-1]``.  ``batch`` holds length-G
+    discount arrays, one column per grid pair; the result has shape
+    (p_max, G).
     """
     G = np.size(batch.gamma)
     scree = np.empty((p_max, G))
-    f_prev = b_prev = np.broadcast_to(x[:, None], (x.shape[0], G))
+    f = b = np.broadcast_to(x[:, None], (x.shape[0], G))
     for m in range(1, p_max + 1):
-        x_f, mask_f, x_b, mask_b = stage_regressors(f_prev, b_prev, m)
-        fs_f = forward_filter(f_prev, x_f, prior, batch, updated=mask_f)
-        fs_b = forward_filter(b_prev, x_b, prior, batch, updated=mask_b)
+        fs_f = forward_filter(f[1:], b[:-1], prior, batch)
+        fs_b = forward_filter(b[:-1], f[1:], prior, batch)
         scree[m - 1] = predictive_loglik(fs_f)
         _require_finite(scree[m - 1], batch, m)
-        f_prev, b_prev = fs_f.e, fs_b.e
+        # Only the errors feed the next stage: free both filters before it
+        # runs, since every (T, G) array alive at once adds to the peak.
+        f, b = fs_f.e, fs_b.e
+        del fs_f, fs_b
     return scree
 
 
@@ -220,9 +223,8 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     scree = np.empty(grid.p_max)
     f_prev, b_prev = x, x
     for m in range(1, grid.p_max + 1):
-        x_f, mask_f, _, _ = stage_regressors(f_prev, b_prev, m)
-        ll = predictive_loglik(forward_filter(f_prev, x_f, prior, batch,
-                                              updated=mask_f))
+        ll = predictive_loglik(forward_filter(f_prev[m:], b_prev[:len(x) - m],
+                                              prior, batch))
         _require_finite(ll, batch, m)
         best = int(np.argmax(ll))
         scree[m - 1] = ll[best]

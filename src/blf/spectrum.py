@@ -174,6 +174,13 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
     (mean, sd) : Spectrogram pair
         ``mean`` holds exp(mean of log S), i.e. the pointwise geometric
         mean in linear power; ``sd`` holds the standard deviation of log S.
+
+    Raises
+    ------
+    ValueError
+        If a draw's log density is not finite, as at an exact unit root;
+        the message names the first such (t, w) of the first chunk that has
+        one.
     """
     if n_draws < 2:
         raise ValueError("n_draws must be >= 2")
@@ -205,14 +212,21 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
         work = np.empty(2 * size * -(-T // n_blocks) * len(freqs))
         for block in map(slice, edges[:-1], edges[1:]):
             logs = _transfer_power(coeffs[:, block], freqs, work)
-            with np.errstate(divide="ignore"):  # a unit root gives log S = +inf
+            # A unit root gives log S = +inf, and its moments inf - inf = NaN:
+            # any non-finite draw leaves cm2 non-finite, which is refused below.
+            with np.errstate(divide="ignore", invalid="ignore"):
                 np.log(logs, out=logs)
-            np.subtract(np.log(sigma2[:, block])[..., None], logs, out=logs)
-            shift = logs[0].copy()
-            logs -= shift
-            cmean = logs.mean(axis=0)
-            logs -= cmean
-            cm2 = np.square(logs, out=logs).sum(axis=0)
+                np.subtract(np.log(sigma2[:, block])[..., None], logs, out=logs)
+                shift = logs[0].copy()
+                logs -= shift
+                cmean = logs.mean(axis=0)
+                logs -= cmean
+                cm2 = np.square(logs, out=logs).sum(axis=0)
+            bad = ~np.isfinite(cm2)
+            if bad.any():
+                i, l = np.argwhere(bad)[0]
+                raise ValueError(f"non-finite log spectral density at "
+                                 f"t={block.start + i + 1}, freq={freqs[l]}")
             cmean += shift
             delta = cmean - mean_log[block]
             mean_log[block] += delta * weight

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dlm import backward_sample
-from .lattice import LatticeRun
+from .lattice import LatticeRun, filter_rows
 
 __all__ = ["TvarFit", "parcor_to_tvar", "assemble_fit", "path_sampler"]
 
@@ -95,21 +95,25 @@ def path_sampler(run: LatticeRun, P: int):
     Returns a callable ``draw(rng, size)`` producing ``(coeffs, sigma2)``
     with shapes ``(size, T, P)`` and ``(size, T)``: per draw, one joint
     PARCOR path per stage (plus the stage-P forward variance path) mapped
-    through the Levinson recursion.  Used for posterior spectral surfaces.
+    through the Levinson recursion.  Each filter's rows are placed on the
+    times 1..T as the smoothed stage paths are, by
+    :func:`blf.lattice.filter_rows`.  Used for posterior spectral surfaces.
     """
     if P < 1 or P > run.order:
         raise ValueError(f"P={P} exceeds available stages ({run.order})")
+    T = len(run.x)
     stages = run.stages[:P]
 
     def draw(rng: np.random.Generator, size: int):
-        alpha = np.empty((size, len(run.x), P))
-        beta = np.empty((size, len(run.x), P))
+        alpha = np.empty((size, T, P))
+        beta = np.empty((size, T, P))
         for j, st in enumerate(stages):
+            rows_f, rows_b = filter_rows(T, st.m)
             th_f, s2_f = backward_sample(st.filter_f, rng, size=size)
             th_b, _ = backward_sample(st.filter_b, rng, size=size)
-            alpha[:, :, j] = th_f.T
-            beta[:, :, j] = th_b.T
+            alpha[:, :, j] = th_f[rows_f].T
+            beta[:, :, j] = th_b[rows_b].T
         coeffs, _ = parcor_to_tvar(alpha, beta)
-        return coeffs, s2_f.T  # the stage-P forward variance path
+        return coeffs, s2_f[rows_f].T  # the stage-P forward variance path
 
     return draw

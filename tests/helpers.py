@@ -31,12 +31,12 @@ def static_nig_posterior(y, x, prior):
     return mu_T, s_T * cstar_T, v_T, kappa_T
 
 
-def covariance_filter(y, x, prior, gamma, delta, updated):
+def covariance_filter(y, x, prior, gamma, delta):
     """The discounted conjugate filter in covariance form, one step at a time.
 
-    Every step forecasts (r, q, e); a step with ``updated`` true then learns
-    through the gain z = r x_t / q.  Elsewhere the posterior is carried
-    forward.  Returns the seven trajectories of a ``FilterState`` by name.
+    Every step forecasts (r, q, e) and learns through the gain z = r x_t / q.
+    Returns the seven trajectories of a ``FilterState`` by name, each with
+    one row per step (the state rows after the step, without the prior).
     """
     y = np.asarray(y, float)
     x = np.asarray(x, float)
@@ -49,13 +49,12 @@ def covariance_filter(y, x, prior, gamma, delta, updated):
         r = c / gamma
         q = r * x[t] * x[t] + s
         e = y[t] - mu * x[t]
-        if updated[t]:
-            z = r * x[t] / q
-            mu = mu + z * e
-            v = delta * v + 1.0
-            kappa = delta * kappa + s * e * e / q
-            s = kappa / v
-            c = r * s / q
+        z = r * x[t] / q
+        mu = mu + z * e
+        v = delta * v + 1.0
+        kappa = delta * kappa + s * e * e / q
+        s = kappa / v
+        c = r * s / q
         rows.append((mu, c, v, kappa, s, e, q))
     names = ("mu", "c", "v", "kappa", "s", "e", "q")
     return {name: np.array(col) for name, col in zip(names, zip(*rows))}

@@ -47,14 +47,13 @@ class TestForwardFilter:
 
     def test_discounted_filter_matches_covariance_form(self):
         """Discounts in [0.8, 1], x and y scaled 1e-3 to 1e3, varied priors,
-        scalar and batch inputs, and prefix, suffix and scattered masks with
-        x != 0 at the masked steps: every field agrees with the step-by-step
-        covariance form to 1e-10 relative.  mu is compared on the scale
-        |mu| + sqrt(c) of its posterior, since it may cross zero, and e on
-        the scale |y| + |x mu_{t-1}| of the terms it differences.  The prior
-        is drawn on the coefficient's own scale y/x: one many orders off it
-        makes the problem ill-conditioned, and either form can then stray
-        about 1e-10 from exact arithmetic."""
+        scalar and batch inputs: every field agrees with the step-by-step
+        covariance form to 1e-10 relative, and row 0 of the state is the
+        prior.  mu is compared on the scale |mu| + sqrt(c) of its posterior,
+        since it may cross zero, and e on the scale |y| + |x mu_{t-1}| of the
+        terms it differences.  The prior is drawn on the coefficient's own
+        scale y/x: one many orders off it makes the problem ill-conditioned,
+        and either form can then stray about 1e-10 from exact arithmetic."""
         rng = np.random.default_rng(15)
         for i in range(240):
             T = int(rng.integers(1, 60))
@@ -64,27 +63,23 @@ class TestForwardFilter:
             y = rng.normal(size=size) * y_scale
             x = rng.normal(size=size) * x_scale
             gamma, delta = rng.uniform(0.8, 1.0, size=(2, 4) if form else 2)
-            updated = np.ones(T, dtype=bool)
-            cut = int(rng.integers(0, T + 1))
-            kind = i // 3 % 4
-            if kind == 1:
-                updated[:cut] = False
-            elif kind == 2:
-                updated[cut:] = False
-            elif kind == 3:
-                updated = rng.random(T) < 0.6
             theta_scale = y_scale / x_scale
             prior = NIGPrior(mu0=rng.normal() * theta_scale,
                              c0=rng.uniform(0.1, 3.0) * theta_scale**2,
                              v0=rng.uniform(0.5, 5.0),
                              kappa0=rng.uniform(0.1, 4.0) * y_scale**2)
-            fs = forward_filter(y, x, prior, DiscountPair(gamma, delta), updated)
-            ref = covariance_filter(y, x, prior, gamma, delta, updated)
-            for name in ("c", "v", "kappa", "s", "q"):
-                np.testing.assert_allclose(getattr(fs, name), ref[name], rtol=1e-10,
+            fs = forward_filter(y, x, prior, DiscountPair(gamma, delta))
+            ref = covariance_filter(y, x, prior, gamma, delta)
+            for name, first in (("mu", prior.mu0), ("c", prior.c0), ("v", prior.v0),
+                                ("kappa", prior.kappa0)):
+                np.testing.assert_allclose(getattr(fs, name)[0], first, rtol=1e-15,
                                            err_msg=name)
+            for name in ("c", "v", "kappa", "s"):
+                np.testing.assert_allclose(getattr(fs, name)[1:], ref[name],
+                                           rtol=1e-10, err_msg=name)
+            np.testing.assert_allclose(fs.q, ref["q"], rtol=1e-10, err_msg="q")
             mu_scale = np.abs(ref["mu"]) + np.sqrt(ref["c"])
-            assert np.all(np.abs(fs.mu - ref["mu"]) <= 1e-10 * mu_scale)
+            assert np.all(np.abs(fs.mu[1:] - ref["mu"]) <= 1e-10 * mu_scale)
             mu_lag = np.concatenate([np.full((1,) + ref["mu"].shape[1:], prior.mu0),
                                      ref["mu"][:-1]])
             yb, xb = (a[:, None] if form == 2 else a for a in (y, x))
@@ -92,34 +87,16 @@ class TestForwardFilter:
             assert np.all(np.abs(fs.e - ref["e"]) <= 1e-10 * scale)
 
     def test_zero_regressor_step(self):
-        """x_t = 0 forces z = 0, mu carried, q = s_{t-1}, e = y_t."""
+        """x_t = 0 forces z = 0, mu carried, q = s_{t-1}, e = y_t (state row
+        t is time t, forecast row t-1 is step t)."""
         prior = NIGPrior(0.5, 1.0, 2.0, 3.0)
         d = DiscountPair(0.9, 0.95)
         y = np.array([1.0, -2.0, 0.7])
         x = np.array([1.3, 0.0, -0.4])
         fs = forward_filter(y, x, prior, d)
-        assert fs.mu[1] == fs.mu[0]
-        assert fs.q[1] == fs.s[0]
+        assert fs.mu[2] == fs.mu[1]
+        assert fs.q[1] == fs.s[1]
         assert fs.e[1] == y[1]
-
-    def test_masked_prefix_forecasts_without_learning(self):
-        """Steps with updated=False (a lattice stage's first m times, where
-        x_t = 0) record the forecast, e = y and q = the carried s, while the
-        posterior stays at the prior."""
-        prior = NIGPrior(0.5, 1.0, 2.0, 3.0)
-        rng = np.random.default_rng(12)
-        y = rng.normal(size=10)
-        x = rng.normal(size=10)
-        x[:3] = 0.0
-        fs = forward_filter(y, x, prior, DiscountPair(0.9, 0.95),
-                            updated=np.arange(10) >= 3)
-        np.testing.assert_array_equal(fs.e[:3], y[:3])
-        np.testing.assert_array_equal(fs.q[:3], fs.s[:3])
-        for name, value in (("mu", prior.mu0), ("c", prior.c0), ("v", prior.v0),
-                            ("kappa", prior.kappa0), ("s", prior.kappa0 / prior.v0)):
-            assert np.all(getattr(fs, name)[:3] == value), name
-        assert fs.e[3] == y[3] - prior.mu0 * x[3]
-        assert fs.mu[3] != prior.mu0
 
     def test_reduction_identity(self):
         """c_{t-1}/gamma equals c_{t-1} + c_{t-1}(1-gamma)/gamma."""
@@ -174,10 +151,10 @@ class TestBackwardSmooth:
     def test_single_step_equals_filter(self):
         fs = forward_filter([1.5], [0.7], NIGPrior(), DiscountPair(0.9, 0.9))
         sm = backward_smooth(fs)
-        assert sm.mu[0] == fs.mu[0]
-        assert sm.c[0] == fs.c[0]
-        assert sm.v[0] == fs.v[0]
-        assert sm.kappa[0] == fs.kappa[0]
+        assert sm.mu[1] == fs.mu[1]
+        assert sm.c[1] == fs.c[1]
+        assert sm.v[1] == fs.v[1]
+        assert sm.kappa[1] == fs.kappa[1]
 
     def test_static_limit_copies_final_value(self):
         rng = np.random.default_rng(4)
@@ -297,17 +274,6 @@ class TestBackwardSample:
         prec = 1.0 / sigma2
         z_prec = (prec.mean(axis=1) - 1.0 / sm.s) / (prec.std(axis=1) / np.sqrt(n))
         assert np.max(np.abs(z_prec)) < 3.0
-
-    def test_masked_steps_carry_back(self):
-        rng = np.random.default_rng(13)
-        mask = np.ones(12, dtype=bool)
-        mask[:3] = False
-        d = DiscountPair(0.9, 0.9)
-        fs = forward_filter(rng.normal(size=12), rng.normal(size=12),
-                            NIGPrior(), d, updated=mask)
-        theta, sigma2 = backward_sample(fs, np.random.default_rng(1), size=1)
-        assert theta[0] == theta[1] == theta[2]
-        assert sigma2[0] == sigma2[1] == sigma2[2]
 
 
 class TestBatchMode:

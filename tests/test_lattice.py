@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from blf.dlm import DiscountPair, NIGPrior, default_prior
+from blf.dlm import DiscountPair, NIGPrior, backward_smooth, default_prior
 from blf.lattice import run_lattice, run_stage
 from blf.simulate import gen_tvar2
+from blf.tvar import path_sampler
 
 
 def ar1_series(phi, T, seed, burn=200):
@@ -45,6 +46,35 @@ class TestRunStage:
         # boundary times pass the input through untouched
         assert np.array_equal(st.f_next[:m], x[:m])
         assert np.array_equal(st.b_next[-m:], x[-m:])
+
+    def test_boundary_times_take_nearest_filter_row(self):
+        """The forward regression has a regressor only at t = m+1..T and
+        the backward one only at t = 1..T-m, so each filters T-m steps from
+        a row 0 that is the prior.  alpha and its scale and variance at
+        t <= m equal their t = m row, the smoothed row 0, and beta's at
+        t > T-m equal their t = T-m row."""
+        rng = np.random.default_rng(12)
+        T, m = 12, 3
+        f_prev, b_prev = rng.normal(size=(2, T))
+        prior = NIGPrior(0.5, 1.0, 2.0, 3.0)
+        st = run_stage(f_prev, b_prev, m, DiscountPair(0.9, 0.95), prior)
+        for fs in (st.filter_f, st.filter_b):
+            assert len(fs.mu) == T - m + 1 and len(fs.e) == T - m
+            for name, value in (("mu", prior.mu0), ("c", prior.c0), ("v", prior.v0),
+                                ("kappa", prior.kappa0), ("s", prior.kappa0 / prior.v0)):
+                assert getattr(fs, name)[0] == value, name
+        assert st.filter_f.e[0] == f_prev[m] - prior.mu0 * b_prev[0]
+        assert st.filter_b.e[0] == b_prev[0] - prior.mu0 * f_prev[m]
+        sm_f, sm_b = backward_smooth(st.filter_f), backward_smooth(st.filter_b)
+        for name, row in (("alpha", sm_f.mu), ("alpha_var", sm_f.c), ("sf2", sm_f.s)):
+            path = getattr(st, name)
+            assert np.all(path[:m] == path[m - 1]), name
+            assert np.array_equal(path[m - 1:], row), name
+        for name, row in (("beta", sm_b.mu), ("beta_var", sm_b.c), ("sb2", sm_b.s)):
+            path = getattr(st, name)
+            assert np.all(path[T - m:] == path[T - m - 1]), name
+            assert np.array_equal(path[:T - m], row[1:]), name
+        assert st.alpha[m] != st.alpha[m - 1] and st.beta[T - m - 1] != st.beta[T - m - 2]
 
     def test_batched_discounts_need_batched_series(self):
         """Length-G discounts pair with the columns of a (T, G) series; a
@@ -99,6 +129,18 @@ class TestRunLattice:
         for st in run.stages:
             assert np.mean(np.abs(st.alpha)) < 0.1
         assert abs(np.mean(run.stages[2].sf2) / sigma2 - 1.0) < 0.2
+
+    def test_boundary_draws_take_nearest_row(self):
+        """Posterior draws are placed as the smoothed paths are: the stage-P
+        forward PARCOR draw (coefficient P of the order-P fit) and the
+        variance draw at t <= P equal the t = P draw, and differ after it."""
+        x = np.random.default_rng(13).normal(size=40)
+        P = 3
+        run = run_lattice(x, P, DiscountPair(0.9, 0.9), NIGPrior())
+        coeffs, sigma2 = path_sampler(run, P)(np.random.default_rng(1), 5)
+        for path in (coeffs[:, :, P - 1], sigma2):
+            assert np.all(path[:, :P] == path[:, [P - 1]])
+            assert np.all(path[:, P] != path[:, P - 1])
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

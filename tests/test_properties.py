@@ -3,11 +3,14 @@
 Negating the series or scaling it by a power of two changes every
 intermediate value by an exact sign or power of two, so PARCOR paths,
 orders and coefficients must come back bit for bit, and variances must
-scale by exactly 4^j.  Batch filtering and smoothing must equal the scalar
-runs column by column, and so must the predictive log likelihood, which
-is exactly 0 for a filter that never updates.  Every CSV writer/reader
-pair gives back finite float64 values bit for bit.
+scale by exactly 4^j.  Batch filtering, smoothing and lattice stages must
+equal the scalar runs column by column, and so must the predictive log
+likelihood.  A lower-order lattice is the first stages of a higher-order
+one, bit for bit.  Every CSV writer/reader pair gives back finite float64
+values bit for bit.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from blf.dlm import (  # noqa: E402
     DiscountPair,
+    FilterState,
     NIGPrior,
     backward_smooth,
     forward_filter,
@@ -30,6 +34,7 @@ from blf.io import (  # noqa: E402
     write_series_csv,
     write_spectrogram_csv,
 )
+from blf.lattice import StageResult, run_lattice, run_stage  # noqa: E402
 from blf.selection import SearchGrid, fit_blfdyn, fit_blffix, fit_fixed  # noqa: E402
 from blf.simulate import gen_tvar2, gen_tvar6  # noqa: E402
 from blf.spectrum import Spectrogram, default_freq_grid  # noqa: E402
@@ -89,31 +94,66 @@ def test_fixed_fit_power_of_two_scale_equivariant(x, d, order, j):
 
 
 @given(T=st.integers(1, 40), seed=seeds,
-       pairs=st.lists(st.tuples(discount, discount), min_size=1, max_size=5),
-       masked=st.integers(0, 40), prefix=st.booleans())
-def test_batch_smooth_equals_scalar(T, seed, pairs, masked, prefix):
-    """Discounts include 1.0; a masked prefix or suffix has no updates, and
-    ``masked >= T`` masks every step."""
+       pairs=st.lists(st.tuples(discount, discount), min_size=1, max_size=5))
+def test_batch_smooth_equals_scalar(T, seed, pairs):
+    """Discounts include 1.0."""
     G = len(pairs)
     gammas, deltas = (np.array(v) for v in zip(*pairs))
     rng = np.random.default_rng(seed)
     y, x = rng.normal(size=(T, G)), rng.normal(size=(T, G))
-    mask = np.ones(T, dtype=bool)
-    mask[:masked] = False
-    if not prefix:
-        mask = mask[::-1].copy()
-    fsb = forward_filter(y, x, NIGPrior(), DiscountPair(gammas, deltas), updated=mask)
+    fsb = forward_filter(y, x, NIGPrior(), DiscountPair(gammas, deltas))
     smb, llb = backward_smooth(fsb), predictive_loglik(fsb)
     assert llb.shape == (G,)
-    if not mask.any():
-        assert np.all(llb == 0.0)
     for g in range(G):
         fs = forward_filter(y[:, g], x[:, g], NIGPrior(),
-                            DiscountPair(gammas[g], deltas[g]), updated=mask)
+                            DiscountPair(gammas[g], deltas[g]))
         sm = backward_smooth(fs)
         for name in ("mu", "c", "v", "s", "kappa"):
             assert np.array_equal(getattr(sm, name), getattr(smb, name)[:, g]), name
         np.testing.assert_allclose(predictive_loglik(fs), llb[g], rtol=1e-13)
+
+
+@given(T=st.integers(2, 40), seed=seeds, cut=st.integers(1, 39),
+       pairs=st.lists(st.tuples(discount, discount), min_size=1, max_size=5))
+def test_batch_stage_equals_scalar(T, seed, cut, pairs):
+    """A batched lattice stage equals the scalar stages column by column,
+    boundary times included, at every m up to T-1 (one step per
+    regression); discounts include 1.0."""
+    m = min(cut, T - 1)
+    G = len(pairs)
+    gammas, deltas = (np.array(v) for v in zip(*pairs))
+    rng = np.random.default_rng(seed)
+    f_prev, b_prev = rng.normal(size=(2, T, G))
+    stb = run_stage(f_prev, b_prev, m, DiscountPair(gammas, deltas), NIGPrior())
+    for g in range(G):
+        sts = run_stage(f_prev[:, g], b_prev[:, g], m,
+                        DiscountPair(gammas[g], deltas[g]), NIGPrior())
+        for name in ("alpha", "beta", "alpha_var", "beta_var", "sf2", "sb2",
+                     "f_next", "b_next"):
+            assert np.array_equal(getattr(sts, name), getattr(stb, name)[:, g]), name
+        np.testing.assert_allclose(sts.loglik, stb.loglik[g], rtol=1e-13)
+
+
+@given(T=st.integers(6, 80), seed=seeds, cut=st.integers(1, 4),
+       pairs=st.lists(st.tuples(discount, discount), min_size=2, max_size=5))
+def test_lattice_prefix_consistent(T, seed, cut, pairs):
+    """An order-P lattice is the first P stages of an order-P' one (P < P'),
+    bit for bit in every StageResult field and its filters; discounts
+    include 1.0."""
+    x = np.random.default_rng(seed).normal(size=T)
+    per_stage = [DiscountPair(g, d) for g, d in pairs]
+    P = min(cut, len(per_stage) - 1)
+    short = run_lattice(x, P, per_stage[:P], NIGPrior())
+    longer = run_lattice(x, len(per_stage), per_stage, NIGPrior())
+    for a, b in zip(short.stages, longer.stages):
+        for f in fields(StageResult):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(va, FilterState):
+                for g in fields(FilterState):
+                    assert _same_bits(getattr(va, g.name), getattr(vb, g.name)), \
+                        (f.name, g.name)
+            else:
+                assert _same_bits(va, vb), f.name
 
 
 def _same_bits(a, b) -> bool:

@@ -220,6 +220,34 @@ class TestSpectrumPosterior:
         expect = tvar_spectrum(const_fit([0.5, -0.2], T=20), default_freq_grid())
         np.testing.assert_allclose(mean.values, expect.values, rtol=1e-14)
 
+    def test_unit_root_paths_are_refused(self):
+        """Constant paths a = [1.0] have log S = +inf at w = 0 at every t.
+        130 draws in 64-draw chunks are refused at the first such cell, with
+        no RuntimeWarning (the suite turns one into an error)."""
+        coeffs, sigma2 = np.ones((64, 20, 1)), np.ones((64, 20))
+
+        def draw(rng, size):
+            return coeffs[:size], sigma2[:size]
+
+        with pytest.raises(ValueError, match=r"density at t=1, freq=0\.0$"):
+            spectrum_posterior(draw, 130, default_freq_grid(), np.random.default_rng(0))
+
+    def test_one_unit_root_draw_among_finite_ones_is_refused(self):
+        """Draw 100 of 130 (in the second chunk) has a unit root at t=5 only."""
+        coeffs = np.random.default_rng(3).uniform(-0.3, 0.3, size=(130, 20, 2))
+        coeffs[100, 4] = [1.0, 0.0]
+        sigma2 = np.ones((130, 20))
+        made = [0]
+
+        def draw(rng, size):
+            lo = made[0]
+            made[0] += size
+            return coeffs[lo:lo + size], sigma2[lo:lo + size]
+
+        with pytest.raises(ValueError, match=r"density at t=5, freq=0\.0$"):
+            spectrum_posterior(draw, 130, default_freq_grid(), np.random.default_rng(0))
+        assert made[0] == 128  # refused in the second chunk, before the third
+
     def test_white_noise_fit_sd_flat_over_frequency(self):
         rng = np.random.default_rng(25)
         x = rng.normal(size=400)
