@@ -11,19 +11,25 @@ discount factor ``delta``.  The conjugate normal/gamma form is preserved at
 every step, so filtering, smoothing, marginal likelihood evaluation and
 joint posterior path sampling are all available in closed form.
 
-All routines accept ``y``/``x`` of shape ``(T,)`` or ``(T, G)``; in the
-latter case column g is an independent regression problem and ``gamma`` or
-``delta`` may be arrays of shape ``(G,)``.  This batch form is what makes
-discount-grid searches cheap.
+All routines accept ``y``/``x`` of shape ``(T,)`` or ``(T, *B)``, where
+each column of the trailing batch axes is an independent regression
+problem, and ``gamma``/``delta`` may be arrays that broadcast against the
+batch shape.  Every recurrence runs at the width of the inputs it depends
+on, so grid-shaped discounts such as ``gamma[:, None]`` and
+``delta[None, :]`` make a discount-grid search cheap: the coefficient
+recurrences run once per gamma, the degrees of freedom once per delta.
 
-Every recurrence is first-order linear and runs through one kernel,
-``_scan``: the forward filter (in information form) forwards in time, the
-smoother and the sampler backwards on time-reversed views.  Every step
-learns: a regression observes only the steps it has.
+Every recurrence whose coefficient is constant in time runs through one
+doubling kernel, ``_scan``: the forward filter's P, v and kappa forwards
+in time, the smoother's and the sampler's backwards on time-reversed views.
+The filter's mean mu, whose coefficient varies in time, is the module's
+one time loop.  Every step learns: a regression observes only the steps it
+has.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,8 +96,12 @@ class FilterState:
     precision posterior (shape v/2, rate kappa/2) and ``s = kappa/v`` the
     variance point estimate.  Row t-1 of ``e``/``q`` is the one-step forecast
     error and its scale at step t = 1..n.  ``gamma`` and ``delta`` are the
-    discounts the pass ran at (scalars, or length-G arrays in batch mode);
-    smoothing and sampling read them from here.
+    discounts the pass ran at, with one axis per batch axis (0-d for a
+    scalar pass); smoothing and sampling read them from here.
+
+    Each field has the broadcast shape of the inputs it depends on, over
+    one axis per batch axis: ``mu`` and ``e`` that of the series and
+    ``gamma``, ``v`` that of ``delta``, the rest all three.
     """
 
     mu: np.ndarray
@@ -131,8 +141,8 @@ def default_prior(x) -> NIGPrior:
 
 def _validate_series(arr, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"{name} must be 1- or 2-dimensional, got shape {arr.shape}")
+    if arr.ndim < 1:
+        raise ValueError(f"{name} must have a time axis, got shape {arr.shape}")
     bad = ~np.isfinite(arr)
     if np.any(bad):
         t_bad = int(np.argwhere(bad)[0][0]) + 1
@@ -158,16 +168,21 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
 
     from P_0 = s_0/c_0, with s = kappa/v and c = s/P: the covariance form
     (r = c_{t-1}/gamma, q_t = r x_t^2 + s_{t-1}) rewritten on P, where
-    1/g_t = gamma P_{t-1} / P_t.  So the filter is four calls of one
-    first-order linear scan.
+    1/g_t = gamma P_{t-1} / P_t.  P, v and kappa have coefficients constant
+    in time and run through the doubling kernel ``_scan``; mu runs step by
+    step.  Each recurrence runs at the broadcast width of what it depends
+    on: P, g, mu and e at that of the series and ``gamma``, v at that of
+    ``delta``, and only kappa, s, q and c at the full batch width.
 
     Parameters
     ----------
-    y, x : array_like, shape (n,) or (n, G)
+    y, x : array_like, shape (n,) or (n, *B)
         Response and regressor series.
     prior : NIGPrior
     d : DiscountPair
-        ``gamma``/``delta`` may be scalars or length-G arrays in batch mode.
+        ``gamma``/``delta`` may be scalars or arrays that broadcast against
+        the batch shape B, e.g. ``gammas[:, None]`` and ``deltas[None, :]``
+        for a grid.
 
     Returns
     -------
@@ -183,50 +198,64 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
 
     gamma = np.asarray(d.gamma, dtype=float)
     delta = np.asarray(d.delta, dtype=float)
-    shape = np.broadcast_shapes(y.shape[1:], gamma.shape, delta.shape)
-    # Trailing unit axes let a 1-D series broadcast against length-G discounts.
-    x = x.reshape(x.shape + (1,) * (len(shape) + 1 - x.ndim))
+    ndim = len(np.broadcast_shapes(y.shape[1:], gamma.shape, delta.shape))
+    # One axis per batch axis everywhere: trailing unit axes on the series
+    # and leading ones on the discounts, so that each array broadcasts only
+    # over the inputs it depends on.
+    x = x.reshape(x.shape + (1,) * (ndim + 1 - x.ndim))
     y = y.reshape(x.shape)
+    gamma = gamma.reshape((1,) * (ndim - gamma.ndim) + gamma.shape)
+    delta = delta.reshape((1,) * (ndim - delta.ndim) + delta.shape)
 
-    # Row t of P, mu, v and kappa is time t = 0..n: row 0 is the prior and
-    # the lagged values are views.  Work in place: every (n, G) array alive
-    # at once adds to the peak memory of a search.
-    zero = np.zeros(shape)
-    P = _scan(_steps(gamma, n), x * x, zero + prior.kappa0 / prior.v0 / prior.c0)
+    xx = x * x
+    P = _scan(gamma, xx, prior.kappa0 / prior.v0 / prior.c0)
     g = np.multiply(gamma, P[:-1])
-    np.divide(x * x, g, out=g)
+    np.divide(xx, g, out=g)
     g += 1.0
-    mu = _scan(1.0 / g, x * y / P[1:], zero + prior.mu0)
-    v = _scan(_steps(delta, n), _steps(1.0, n), zero + prior.v0)
+    z = x * y / P[1:]
+    mu = np.empty(P.shape)
+    mu[0] = prior.mu0
+    for t in range(n):
+        mu[t + 1] = mu[t] / g[t] + z[t]
+    v = _scan(delta, np.ones((n,) + (1,) * ndim), prior.v0)
     e = y - mu[:-1] * x
-    kappa = _scan(_steps(delta, n), e * e / g, zero + prior.kappa0)
+    kappa = _scan(delta, e * e / g, prior.kappa0)
     s = kappa / v
-    q = np.multiply(s[:-1], g, out=g)
-    c = np.divide(s, P, out=P)
-    return FilterState(mu=mu, c=c, v=v, kappa=kappa, s=s, e=e, q=q,
+    return FilterState(mu=mu, c=s / P, v=v, kappa=kappa, s=s, e=e, q=s[:-1] * g,
                        gamma=gamma, delta=delta)
 
 
-def _steps(a, n: int) -> np.ndarray:
-    """``a`` repeated over n steps, as a broadcast view."""
-    return np.broadcast_to(a, (n,) + np.shape(a))
+def _scan(a, b: np.ndarray, first) -> np.ndarray:
+    """``y[0] = first``, then ``y[t+1] = a y[t] + b[t]`` for t = 0..len(b)-1,
+    with ``a`` the same at every step (a scalar or a row, broadcast against
+    the rows of ``b`` and ``first``).
 
-
-def _scan(a: np.ndarray, b: np.ndarray, first) -> np.ndarray:
-    """``y[0] = first``, then ``y[t+1] = a[t] y[t] + b[t]`` for t = 0..len(b)-1:
-    the one time loop that every recurrence of the module runs through.
-    ``first`` has the shape of each row."""
-    y = np.empty((len(b) + 1,) + np.shape(first))
+    A doubling scan (Hillis & Steele 1986; Blelloch 1990): the pass at
+    k = 1, 2, 4, ... adds ``a**k`` times row t-k to row t, so after it row t
+    holds the weighted sum of the 2k inputs ending at t, and log2(n + 1)
+    vectorized passes replace the time loop.  ``a**k`` is taken by repeated
+    squaring, and every element goes through the same operations at any row
+    width, so a batch column equals its scalar run bit for bit.  Row t is
+    final after the passes with k <= t, so the first rows of a longer scan
+    are the rows of a shorter one.
+    """
+    y = np.empty((len(b) + 1,) + np.broadcast_shapes(np.shape(a), b.shape[1:],
+                                                     np.shape(first)))
     y[0] = first
-    for t in range(len(b)):
-        y[t + 1] = a[t] * y[t] + b[t]
+    y[1:] = b
+    term = np.empty_like(y)
+    k, ak = 1, a
+    while k < len(y):
+        np.multiply(y[:-k], ak, out=term[k:])
+        y[k:] += term[k:]
+        k, ak = 2 * k, ak * ak
     return y
 
 
 def _backward(a, b: np.ndarray, last) -> np.ndarray:
     """``y[n] = last``, then ``y[t] = a y[t+1] + b[t]`` for t = n-1..0, with
     ``a`` the same at every step."""
-    return _scan(_steps(a, len(b)), b[::-1], last)[::-1]
+    return _scan(a, b[::-1], last)[::-1]
 
 
 def backward_smooth(fs: FilterState) -> SmoothState:
@@ -247,13 +276,15 @@ def backward_smooth(fs: FilterState) -> SmoothState:
     point; folding the ratio s_{t|n}/s_t into the recursion itself would
     compound it backwards and blow the scale up.  Rows are times 0..n, as
     in the filter; the t = n rows of ``s`` and ``c`` are the filter's own.
+    Each field keeps the width of the filter field it smooths.
     """
     gamma, delta = fs.gamma, fs.delta
     s_t = fs.s[:-1]
     mu = _backward(gamma, (1.0 - gamma) * fs.mu[:-1], fs.mu[-1])
     v = _backward(delta, (1.0 - delta) * fs.v[:-1], fs.v[-1])
     prec = _backward(delta, (1.0 - delta) / s_t, 1.0 / fs.s[-1])
-    cstar = _backward(gamma**2, (1.0 - gamma) * fs.c[:-1] / s_t, fs.c[-1] / fs.s[-1])
+    cstar = _backward(gamma * gamma, (1.0 - gamma) * fs.c[:-1] / s_t,
+                      fs.c[-1] / fs.s[-1])
     s = 1.0 / prec
     s[-1] = fs.s[-1]
     c = cstar * s
@@ -261,31 +292,63 @@ def backward_smooth(fs: FilterState) -> SmoothState:
     return SmoothState(mu=mu, c=c, v=v, s=s, kappa=v * s)
 
 
+@functools.lru_cache(maxsize=64)
+def _t_normalizer(v0: float, delta: float, size: int) -> np.ndarray:
+    """Prefix sums of lgamma((v_t + 1)/2) - lgamma(v_t/2) over the degrees
+    of freedom v_t = delta v_{t-1} + 1 from v_0 = v0: entry k sums t < k,
+    for k = 0..size.  The df come from the filter's own kernel, whose first
+    rows do not depend on the scan's length, so they are the filter's ``v``
+    bit for bit."""
+    df = _scan(delta, np.ones(size - 1), v0).tolist()
+    out = np.zeros(size + 1)
+    np.cumsum([math.lgamma((u + 1.0) / 2.0) - math.lgamma(u / 2.0) for u in df],
+              out=out[1:])
+    out.flags.writeable = False
+    return out
+
+
+def _sum_steps(w: np.ndarray) -> np.ndarray:
+    """Sum over the time axis by pairwise halving, in place: every column
+    goes through the same additions at any width, so a batch column sums
+    exactly as its scalar run."""
+    n = len(w)
+    while n > 1:
+        h = n // 2
+        w[:h] += w[n - h:n]
+        n -= h
+    return w[0]
+
+
 def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     """Sum of the one-step predictive log densities of steps 1..n.
 
     Each predictive p(y_t | D_{t-1}) is Student-t with v_{t-1} degrees of
     freedom, location mu_{t-1} x_t and squared scale q_t, i.e. the t density
-    evaluated at the forecast error e_t with location 0.  Returns a scalar
-    for 1-D states, a length-G array in batch mode.
+    evaluated at the forecast error e_t with location 0.  The df depend on
+    (v0, delta) only, so the summed normalizing constants are taken once per
+    delta from a cache whose entries every stage of a search shares.
+    Returns a scalar for 1-D states, an array of the batch shape otherwise.
     """
     df, e, q = fs.v[:-1], fs.e, fs.q
     if np.any(df <= 0.0):
         raise ValueError("degrees of freedom must be positive")
-    # The df follow v_t = delta v_{t-1} + 1 from v0, so columns with equal
-    # delta have equal df: take the lgamma terms once per distinct delta and
-    # broadcast.
-    delta = np.broadcast_to(fs.delta, df.shape[1:]).ravel()
-    _, first, inverse = np.unique(delta, return_index=True, return_inverse=True)
-    df_u = df.reshape(len(df), delta.size)[:, first]
-    norm = np.array([math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0)
-                     for v in df_u.ravel().tolist()]).reshape(df_u.shape)
-    terms = (
-        norm[:, inverse].reshape(df.shape)
-        - 0.5 * np.log(df * np.pi * q)
-        - (df + 1.0) / 2.0 * np.log1p(e * e / (df * q))
-    )
-    total = terms.sum(axis=0)
+    # -log p_t - log norm_t = 1/2 log(pi df q) + (df+1)/2 log1p(e^2/(df q)),
+    # in place over two arrays of the full batch width.
+    w = np.multiply(df, q)
+    r = np.divide(e * e, w)
+    np.log1p(r, out=r)
+    r *= (df + 1.0) / 2.0
+    w *= np.pi
+    np.log(w, out=w)
+    w *= 0.5
+    w += r
+    n = len(w)
+    # n rounded up to a power of two: every stage of a search shares an entry.
+    size = 1 << (n - 1).bit_length()
+    v0 = float(fs.v.flat[0])
+    delta = np.asarray(fs.delta)
+    norm = np.array([_t_normalizer(v0, dl, size)[n] for dl in delta.ravel().tolist()])
+    total = norm.reshape(delta.shape) - _sum_steps(w)
     return float(total) if np.ndim(total) == 0 else total
 
 

@@ -123,7 +123,7 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     f_obs, b_obs = f_prev[m:], b_prev[:T - m]
     fs_f = forward_filter(f_obs, b_obs, prior, d)
     fs_b = forward_filter(b_obs, f_obs, prior, d)
-    if fs_f.mu.shape[1:] != f_prev.shape[1:]:
+    if fs_f.kappa.shape[1:] != f_prev.shape[1:]:
         raise ValueError("batched discounts need a (T, G) series, one column each")
     sm_f = backward_smooth(fs_f)
     sm_b = backward_smooth(fs_b)

@@ -140,43 +140,47 @@ def _search_inputs(x, grid: SearchGrid | None,
 
 
 def _batched_pairs(grid: SearchGrid) -> tuple[list[DiscountPair], DiscountPair]:
-    pairs = grid.pairs()
-    gam = np.array([p.gamma for p in pairs])
-    dlt = np.array([p.delta for p in pairs])
-    return pairs, DiscountPair(gam, dlt)
+    """The grid's pairs, and the same pairs as grid-shaped discounts: gamma
+    on the first batch axis and delta on the second, so that a batched
+    score ``.ravel()``-ed is in ``pairs`` order."""
+    gam = np.array(sorted(grid.gammas), dtype=float)
+    dlt = np.array(sorted(grid.deltas), dtype=float)
+    return grid.pairs(), DiscountPair(gam[:, None], dlt[None, :])
 
 
-def _require_finite(ll: np.ndarray, batch: DiscountPair, m: int) -> None:
+def _require_finite(ll: np.ndarray, pairs: list[DiscountPair], m: int) -> None:
     """Raise naming the first grid pair whose stage-m score is not finite."""
     bad = np.flatnonzero(~np.isfinite(ll))
     if bad.size:
-        g = bad[0]
+        pair = pairs[bad[0]]
         raise ValueError(f"non-finite predictive log likelihood at stage m={m} for "
-                         f"(gamma, delta)=({batch.gamma[g]}, {batch.delta[g]})")
+                         f"(gamma, delta)=({pair.gamma}, {pair.delta})")
 
 
-def _causal_scree(x: np.ndarray, batch: DiscountPair, p_max: int,
-                  prior: NIGPrior) -> np.ndarray:
+def _causal_scree(x: np.ndarray, pairs: list[DiscountPair], batch: DiscountPair,
+                  p_max: int, prior: NIGPrior) -> np.ndarray:
     """Per-stage predictive log likelihoods of a causal lattice pass.
 
     Stage outputs are the filters' one-step forecast errors: the stage-m
     forward errors cover t = m+1..T and the backward ones t = 1..T-m, so
-    stage m+1 regresses ``f[1:]`` on ``b[:-1]``.  ``batch`` holds length-G
-    discount arrays, one column per grid pair; the result has shape
-    (p_max, G).
+    stage m+1 regresses ``f[1:]`` on ``b[:-1]``.  ``batch`` holds the grid-
+    shaped discounts of ``pairs``; the result has shape (p_max, len(pairs)).
+    The errors depend on gamma alone, so the series stay one column per
+    gamma, and the backward regression, whose only output is its errors,
+    runs at delta = 1.
     """
-    G = np.size(batch.gamma)
-    scree = np.empty((p_max, G))
-    f = b = np.broadcast_to(x[:, None], (x.shape[0], G))
+    scree = np.empty((p_max, len(pairs)))
+    errors_only = DiscountPair(batch.gamma, 1.0)
+    f = b = x
     for m in range(1, p_max + 1):
         fs_f = forward_filter(f[1:], b[:-1], prior, batch)
-        fs_b = forward_filter(b[:-1], f[1:], prior, batch)
-        scree[m - 1] = predictive_loglik(fs_f)
-        _require_finite(scree[m - 1], batch, m)
-        # Only the errors feed the next stage: free both filters before it
-        # runs, since every (T, G) array alive at once adds to the peak.
-        f, b = fs_f.e, fs_b.e
-        del fs_f, fs_b
+        scree[m - 1] = predictive_loglik(fs_f).ravel()
+        _require_finite(scree[m - 1], pairs, m)
+        b = forward_filter(b[:-1], f[1:], prior, errors_only).e
+        # Free the forward filter before the next stage runs, since every
+        # array alive at once adds to the peak.
+        f = fs_f.e
+        del fs_f
     return scree
 
 
@@ -224,8 +228,8 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     f_prev, b_prev = x, x
     for m in range(1, grid.p_max + 1):
         ll = predictive_loglik(forward_filter(f_prev[m:], b_prev[:len(x) - m],
-                                              prior, batch))
-        _require_finite(ll, batch, m)
+                                              prior, batch)).ravel()
+        _require_finite(ll, pairs, m)
         best = int(np.argmax(ll))
         scree[m - 1] = ll[best]
         discounts.append(pairs[best])
@@ -258,7 +262,7 @@ def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     grid, x, prior = _search_inputs(x, grid, prior)
     pairs, batch = _batched_pairs(grid)
 
-    scree = _causal_scree(x, batch, grid.p_max, prior)
+    scree = _causal_scree(x, pairs, batch, grid.p_max, prior)
     orders = np.empty(len(pairs), dtype=int)
     sats = np.empty(len(pairs), dtype=bool)
     for g in range(len(pairs)):

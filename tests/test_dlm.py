@@ -8,6 +8,8 @@ import pytest
 from blf.dlm import (
     DiscountPair,
     NIGPrior,
+    _backward,
+    _scan,
     backward_sample,
     backward_smooth,
     default_prior,
@@ -221,6 +223,22 @@ class TestPredictiveLoglik:
             got = predictive_loglik(forward_filter(y, x, prior, STATIC))
             assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023, 1024, 1025])
+    def test_matches_term_by_term_density(self, n):
+        """The cached normalizer sums agree with the Student-t log density
+        summed step by step from the filter's own df, at lengths on both
+        sides of a power of two."""
+        rng = np.random.default_rng(n)
+        y, x = rng.normal(size=(2, n))
+        for d in (DiscountPair(0.9, 0.8), DiscountPair(0.95, 0.95),
+                  DiscountPair(1.0, 1.0)):
+            fs = forward_filter(y, x, NIGPrior(v0=2.5), d)
+            want = math.fsum(
+                math.lgamma((v + 1) / 2) - math.lgamma(v / 2)
+                - 0.5 * math.log(v * math.pi * q) - (v + 1) / 2 * math.log1p(e * e / (v * q))
+                for v, e, q in zip(fs.v[:-1].tolist(), fs.e.tolist(), fs.q.tolist()))
+            assert predictive_loglik(fs) == pytest.approx(want, rel=1e-13)
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         y, x = rng.normal(size=30), rng.normal(size=30)
@@ -274,6 +292,59 @@ class TestBackwardSample:
         prec = 1.0 / sigma2
         z_prec = (prec.mean(axis=1) - 1.0 / sm.s) / (prec.std(axis=1) / np.sqrt(n))
         assert np.max(np.abs(z_prec)) < 3.0
+
+
+def loop_scan(a, b, first):
+    """Python-float reference: y[0] = first, y[t+1] = a y[t] + b[t], one
+    column and one step at a time."""
+    out = []
+    for j in range(len(first)):
+        y = [first[j]]
+        for t in range(len(b)):
+            y.append(a[j] * y[-1] + b[t][j])
+        out.append(y)
+    return np.array(out).T.reshape(len(b) + 1, len(first))
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1023, 4095])
+    @pytest.mark.parametrize("width", [1, 11, 64, 121])
+    def test_doubling_scan_matches_loop(self, n, width):
+        """Forward and backward scans equal the step-by-step loop to 1e-13 on
+        the scale of the loop over |a| and |b|, for a = 1, for a = 0.8 and for
+        a row of gamma^2, where a**k underflows to 0 at the long lengths; b
+        has mixed signs, so cancellation is covered too."""
+        rng = np.random.default_rng(n * 1000 + width)
+        gamma = np.linspace(0.8, 1.0, width)
+        b = rng.normal(size=(n, width))
+        first = rng.normal(size=width)
+        for a in (np.ones(width), np.full(width, 0.8), gamma**2):
+            row = a if width > 1 else a[0]  # a row, or one scalar for all
+            want = loop_scan(a.tolist(), b.tolist(), first.tolist())
+            scale = loop_scan(a.tolist(), np.abs(b).tolist(), np.abs(first).tolist())
+            got = _scan(row, b, first)
+            assert got.shape == (n + 1, width)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            want_b = loop_scan(a.tolist(), b[::-1].tolist(), first.tolist())[::-1]
+            scale_b = loop_scan(a.tolist(), np.abs(b[::-1]).tolist(),
+                                np.abs(first).tolist())[::-1]
+            got_b = _backward(row, b, first)
+            assert np.all(np.abs(got_b - want_b) <= 1e-13 * scale_b)
+
+    def test_unit_variance_discount_counts_exactly(self):
+        """At delta = 1 the degrees of freedom v_t = v0 + t are exact
+        integers, scalar and batched."""
+        n = 4095
+        y, x = np.random.default_rng(16).normal(size=(2, n))
+        for v0 in (1.0, 3.0):
+            prior = NIGPrior(v0=v0)
+            want = v0 + np.arange(n + 1)
+            assert np.array_equal(forward_filter(y, x, prior, DiscountPair(0.9, 1.0)).v,
+                                  want)
+            fsb = forward_filter(y, x, prior,
+                                 DiscountPair(np.array([0.8, 0.9]), np.ones(2)))
+            assert np.array_equal(np.broadcast_to(fsb.v, (n + 1, 2)),
+                                  np.stack([want, want], axis=1))
 
 
 class TestBatchMode:

@@ -5,7 +5,7 @@ intermediate value by an exact sign or power of two, so PARCOR paths,
 orders and coefficients must come back bit for bit, and variances must
 scale by exactly 4^j.  Batch filtering, smoothing and lattice stages must
 equal the scalar runs column by column, and so must the predictive log
-likelihood.  A lower-order lattice is the first stages of a higher-order
+likelihood, also for grid-shaped discounts.  A lower-order lattice is the first stages of a higher-order
 one, bit for bit.  Every CSV writer/reader pair gives back finite float64
 values bit for bit.
 """
@@ -111,6 +111,47 @@ def test_batch_smooth_equals_scalar(T, seed, pairs):
         for name in ("mu", "c", "v", "s", "kappa"):
             assert np.array_equal(getattr(sm, name), getattr(smb, name)[:, g]), name
         np.testing.assert_allclose(predictive_loglik(fs), llb[g], rtol=1e-13)
+
+
+@given(T=st.integers(1, 40), seed=seeds,
+       gammas=st.lists(discount, min_size=1, max_size=4),
+       deltas=st.lists(discount, min_size=1, max_size=4))
+def test_grid_filter_equals_scalar(T, seed, gammas, deltas):
+    """Grid-shaped discounts (Gg, 1) x (Gd,) on one series give every filter
+    and smoother field and the predictive log likelihood of each pair bit for
+    bit as its scalar filter, each field at the width of its inputs."""
+    Gg, Gd = len(gammas), len(deltas)
+    rng = np.random.default_rng(seed)
+    y, x = rng.normal(size=(2, T))
+    fsb = forward_filter(y, x, NIGPrior(), DiscountPair(np.array(gammas)[:, None],
+                                                        np.array(deltas)))
+    smb, llb = backward_smooth(fsb), predictive_loglik(fsb)
+    assert fsb.mu.shape == (T + 1, Gg, 1) and fsb.e.shape == (T, Gg, 1)
+    assert fsb.v.shape == (T + 1, 1, Gd) and fsb.kappa.shape == (T + 1, Gg, Gd)
+    assert llb.shape == (Gg, Gd)
+    for i, j in np.ndindex(Gg, Gd):
+        fs = forward_filter(y, x, NIGPrior(), DiscountPair(gammas[i], deltas[j]))
+        sm = backward_smooth(fs)
+        for name in ("mu", "c", "v", "kappa", "s", "e", "q"):
+            assert _same_bits(getattr(fs, name), _column(getattr(fsb, name), i, j)), name
+        for name in ("mu", "c", "v", "s", "kappa"):
+            assert _same_bits(getattr(sm, name), _column(getattr(smb, name), i, j)), name
+        assert _same_bits(predictive_loglik(fs), llb[i, j])
+
+
+def _column(arr, i, j):
+    """Pair (i, j) of a grid-shaped field that may broadcast over either axis."""
+    return arr[:, min(i, arr.shape[1] - 1), min(j, arr.shape[2] - 1)]
+
+
+@given(T=st.integers(1, 40), seed=seeds, gamma=discount, delta=discount)
+def test_forecast_errors_do_not_depend_on_delta(T, seed, gamma, delta):
+    """The errors, which are all the causal scree's backward regression
+    keeps, are the same bits at delta = 1 as at any delta."""
+    y, x = np.random.default_rng(seed).normal(size=(2, T))
+    at_one = forward_filter(y, x, NIGPrior(), DiscountPair(gamma, 1.0))
+    assert _same_bits(at_one.e, forward_filter(y, x, NIGPrior(),
+                                               DiscountPair(gamma, delta)).e)
 
 
 @given(T=st.integers(2, 40), seed=seeds, cut=st.integers(1, 39),

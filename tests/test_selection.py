@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import blf.dlm
 import blf.selection
 from blf.dlm import DiscountPair, NIGPrior, default_prior, forward_filter
 from blf.lattice import run_lattice, run_stage
@@ -172,7 +173,7 @@ class TestFitters:
             ll = real(fs)
             if np.ndim(ll):
                 ll = ll.copy()
-                ll[3] = np.nan
+                ll.reshape(-1)[3] = np.nan
             return ll
 
         monkeypatch.setattr(blf.selection, "predictive_loglik", nan_in_column_3)
@@ -182,6 +183,24 @@ class TestFitters:
                            rf"\({pair.gamma}, {pair.delta}\)"):
             fitter(x, grid=SMALL_GRID)
 
+
+    @pytest.mark.parametrize("fitter", [fit_blfdyn, fit_blffix])
+    def test_t_normalizer_taken_once_per_delta(self, fitter, monkeypatch):
+        """The Student-t normalizer depends on (v0, delta, n) alone: a whole
+        search at T = 1024, final fit included, takes at most two lgamma
+        calls per distinct delta and time step."""
+        calls = []
+        real = blf.dlm.math.lgamma
+
+        def counted(v):
+            calls.append(v)
+            return real(v)
+
+        blf.dlm._t_normalizer.cache_clear()
+        monkeypatch.setattr(blf.dlm.math, "lgamma", counted)
+        T = 1024
+        fitter(gen_tvar2(T, seed=40).x)
+        assert 0 < len(calls) <= 2 * len(SearchGrid().deltas) * T
 
     @pytest.mark.parametrize("fitter", [fit_blfdyn, fit_blffix])
     def test_series_length_rule(self, fitter):
