@@ -88,42 +88,52 @@ class DiscountPair:
 
 @dataclass
 class FilterState:
-    """Sequential-update trajectories over n steps.
+    """Sequential-update trajectories over n steps, as the recurrences
+    produce them.
 
-    Row t of ``mu``, ``c``, ``v``, ``kappa`` and ``s`` is time t = 0..n, row 0
-    the prior: ``mu``/``c`` are the location and scale of the coefficient's
-    marginal t-posterior, ``v``/``kappa`` the gamma parameters of the
-    precision posterior (shape v/2, rate kappa/2) and ``s = kappa/v`` the
-    variance point estimate.  Row t-1 of ``e``/``q`` is the one-step forecast
-    error and its scale at step t = 1..n.  ``gamma`` and ``delta`` are the
-    discounts the pass ran at, with one axis per batch axis (0-d for a
-    scalar pass); smoothing and sampling read them from here.
+    Row t of ``mu``, ``P``, ``v`` and ``kappa`` is time t = 0..n, row 0 the
+    prior: ``mu`` is the location of the coefficient's marginal t-posterior,
+    ``P`` its scale-free precision, ``v``/``kappa`` the gamma parameters of
+    the precision posterior (shape v/2, rate kappa/2).  Row t-1 of ``e`` and
+    ``g`` is the one-step forecast error at step t = 1..n and its scale
+    factor 1 + x_t^2 / (gamma P_{t-1}).  The covariance-form read-outs are
+
+        s = kappa / v,    c = s / P,    q_t = s_{t-1} g_t,
+
+    the variance point estimate, the coefficient's squared scale and the
+    forecast's squared scale.  ``gamma`` and ``delta`` are the discounts the
+    pass ran at, with one axis per batch axis (0-d for a scalar pass);
+    smoothing and sampling read them from here.
 
     Each field has the broadcast shape of the inputs it depends on, over
-    one axis per batch axis: ``mu`` and ``e`` that of the series and
-    ``gamma``, ``v`` that of ``delta``, the rest all three.
+    one axis per batch axis: ``mu``, ``P``, ``e`` and ``g`` that of the
+    series and ``gamma``, ``v`` that of ``delta``, ``kappa`` all three.
     """
 
     mu: np.ndarray
-    c: np.ndarray
+    P: np.ndarray
     v: np.ndarray
     kappa: np.ndarray
-    s: np.ndarray
     e: np.ndarray
-    q: np.ndarray
+    g: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
 
 
 @dataclass
 class SmoothState:
-    """Retrospective (smoothed) trajectories given all T observations."""
+    """Retrospective (smoothed) trajectories given all n observations.
+
+    ``mu``/``c`` are the location and squared scale of the coefficient's
+    marginal t-posterior, ``v`` the degrees of freedom and ``s`` the
+    variance point estimate; the precision's rate is kappa_{t|n} =
+    v_{t|n} s_{t|n}.
+    """
 
     mu: np.ndarray
     c: np.ndarray
     v: np.ndarray
     s: np.ndarray
-    kappa: np.ndarray
 
 
 def default_prior(x) -> NIGPrior:
@@ -166,13 +176,15 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
         v_t     = delta v_{t-1} + 1
         kappa_t = delta kappa_{t-1} + e_t^2 / g_t
 
-    from P_0 = s_0/c_0, with s = kappa/v and c = s/P: the covariance form
-    (r = c_{t-1}/gamma, q_t = r x_t^2 + s_{t-1}) rewritten on P, where
-    1/g_t = gamma P_{t-1} / P_t.  P, v and kappa have coefficients constant
-    in time and run through the doubling kernel ``_scan``; mu runs step by
-    step.  Each recurrence runs at the broadcast width of what it depends
-    on: P, g, mu and e at that of the series and ``gamma``, v at that of
-    ``delta``, and only kappa, s, q and c at the full batch width.
+    from P_0 = s_0/c_0: the covariance form (r = c_{t-1}/gamma,
+    q_t = r x_t^2 + s_{t-1} = s_{t-1} g_t) rewritten on P = s/c with
+    s = kappa/v, where 1/g_t = gamma P_{t-1} / P_t.  The state keeps what
+    these recurrences produce, and none of the read-outs s, c and q.  P, v
+    and kappa have coefficients constant in time and run through the
+    doubling kernel ``_scan``; mu runs step by step.  Each recurrence runs
+    at the broadcast width of what it depends on: P, g, mu and e at that of
+    the series and ``gamma``, v at that of ``delta``, and only kappa at the
+    full batch width.
 
     Parameters
     ----------
@@ -220,9 +232,8 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
     v = _scan(delta, np.ones((n,) + (1,) * ndim), prior.v0)
     e = y - mu[:-1] * x
     kappa = _scan(delta, e * e / g, prior.kappa0)
-    s = kappa / v
-    return FilterState(mu=mu, c=s / P, v=v, kappa=kappa, s=s, e=e, q=s[:-1] * g,
-                       gamma=gamma, delta=delta)
+    return FilterState(mu=mu, P=P, v=v, kappa=kappa, e=e, g=g, gamma=gamma,
+                       delta=delta)
 
 
 def _scan(a, b: np.ndarray, first) -> np.ndarray:
@@ -267,29 +278,29 @@ def backward_smooth(fs: FilterState) -> SmoothState:
         mu_{t|n}  = gamma mu_{t+1|n} + (1-gamma) mu_t
         1/s_{t|n} = delta / s_{t+1|n} + (1-delta) / s_t
         v_{t|n}   = delta v_{t+1|n} + (1-delta) v_t
-        C*_{t|n}  = gamma^2 C*_{t+1|n} + (1-gamma) c_t / s_t
+        C*_{t|n}  = gamma^2 C*_{t+1|n} + (1-gamma) / P_t
         c_{t|n}   = C*_{t|n} s_{t|n}
-        kappa_{t|n} = v_{t|n} s_{t|n}
 
-    The coefficient-scale recursion runs on the scale-free variance factor
-    C* = c/s and re-attaches the smoothed variance estimate once per time
-    point; folding the ratio s_{t|n}/s_t into the recursion itself would
-    compound it backwards and blow the scale up.  Rows are times 0..n, as
-    in the filter; the t = n rows of ``s`` and ``c`` are the filter's own.
-    Each field keeps the width of the filter field it smooths.
+    with s_t = kappa_t / v_t.  The coefficient-scale recursion runs on the
+    scale-free variance factor C* = c/s = 1/P, from C*_{n|n} = 1/P_n, and
+    re-attaches the smoothed variance estimate once per time point; folding
+    the ratio s_{t|n}/s_t into the recursion itself would compound it
+    backwards and blow the scale up.  Rows are times 0..n, as in the
+    filter; the t = n rows of ``s`` and ``c`` are the filter's own,
+    s_n = kappa_n / v_n and c_n = s_n / P_n.  Each field keeps the width of
+    the filter fields it smooths.
     """
     gamma, delta = fs.gamma, fs.delta
-    s_t = fs.s[:-1]
+    s_f = fs.kappa / fs.v
     mu = _backward(gamma, (1.0 - gamma) * fs.mu[:-1], fs.mu[-1])
     v = _backward(delta, (1.0 - delta) * fs.v[:-1], fs.v[-1])
-    prec = _backward(delta, (1.0 - delta) / s_t, 1.0 / fs.s[-1])
-    cstar = _backward(gamma * gamma, (1.0 - gamma) * fs.c[:-1] / s_t,
-                      fs.c[-1] / fs.s[-1])
+    prec = _backward(delta, (1.0 - delta) / s_f[:-1], 1.0 / s_f[-1])
+    cstar = _backward(gamma * gamma, (1.0 - gamma) / fs.P[:-1], 1.0 / fs.P[-1])
     s = 1.0 / prec
-    s[-1] = fs.s[-1]
+    s[-1] = s_f[-1]
     c = cstar * s
-    c[-1] = fs.c[-1]
-    return SmoothState(mu=mu, c=c, v=v, s=s, kappa=v * s)
+    c[-1] = s_f[-1] / fs.P[-1]
+    return SmoothState(mu=mu, c=c, v=v, s=s)
 
 
 @functools.lru_cache(maxsize=64)
@@ -323,18 +334,19 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     """Sum of the one-step predictive log densities of steps 1..n.
 
     Each predictive p(y_t | D_{t-1}) is Student-t with v_{t-1} degrees of
-    freedom, location mu_{t-1} x_t and squared scale q_t, i.e. the t density
-    evaluated at the forecast error e_t with location 0.  The df depend on
+    freedom, location mu_{t-1} x_t and squared scale q_t = s_{t-1} g_t, i.e.
+    the t density evaluated at the forecast error e_t with location 0; the
+    product v_{t-1} q_t it needs is kappa_{t-1} g_t.  The df depend on
     (v0, delta) only, so the summed normalizing constants are taken once per
     delta from a cache whose entries every stage of a search shares.
     Returns a scalar for 1-D states, an array of the batch shape otherwise.
     """
-    df, e, q = fs.v[:-1], fs.e, fs.q
+    df, e = fs.v[:-1], fs.e
     if np.any(df <= 0.0):
         raise ValueError("degrees of freedom must be positive")
     # -log p_t - log norm_t = 1/2 log(pi df q) + (df+1)/2 log1p(e^2/(df q)),
     # in place over two arrays of the full batch width.
-    w = np.multiply(df, q)
+    w = np.multiply(fs.kappa[:-1], fs.g)
     r = np.divide(e * e, w)
     np.log1p(r, out=r)
     r *= (df + 1.0) / 2.0
@@ -361,10 +373,10 @@ def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
 
         1/sigma_t^2 = delta/sigma_{t+1}^2 + Gamma((1-delta) v_t/2, rate kappa_t/2).
 
-    Conditional on the variances, theta_n ~ N(mu_n, c_n sigma_n^2 / s_n) and
+    Conditional on the variances, theta_n ~ N(mu_n, sigma_n^2 / P_n) and
 
         theta_t | theta_{t+1} ~ N((1-gamma) mu_t + gamma theta_{t+1},
-                                  (1-gamma) c_t sigma_t^2 / s_t),
+                                  (1-gamma) sigma_t^2 / P_t),
 
     whose marginal moments reproduce the smoothing recursions.  All draws
     are made up front, in four generator calls: 1/sigma_n^2, every
@@ -399,8 +411,8 @@ def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
     # Work in place: every (n, size) temporary adds to peak memory.
     sigma2 = _backward(delta, shocks, phi_n)
     np.divide(1.0, sigma2, out=sigma2)
-    theta_n = fs.mu[-1] + np.sqrt(fs.c[-1] / fs.s[-1] * sigma2[-1]) * z_n
-    var = ((1.0 - gamma) * fs.c[:-1] / fs.s[:-1])[:, None]
+    theta_n = fs.mu[-1] + np.sqrt(sigma2[-1] / fs.P[-1]) * z_n
+    var = ((1.0 - gamma) / fs.P[:-1])[:, None]
     z *= np.sqrt(np.multiply(var, sigma2[:-1], out=shocks), out=shocks)
     z += ((1.0 - gamma) * fs.mu[:-1])[:, None]  # offsets (1-gamma) mu_t + sd_t z_t
     return _backward(gamma, z, theta_n), sigma2

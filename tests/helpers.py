@@ -31,6 +31,14 @@ def static_nig_posterior(y, x, prior):
     return mu_T, s_T * cstar_T, v_T, kappa_T
 
 
+def readouts(fs):
+    """The covariance-form read-outs (s, c, q) of a ``FilterState``:
+    s = kappa/v, c = s/P and q_t = s_{t-1} g_t, the expressions the
+    smoother uses for its final rows."""
+    s = fs.kappa / fs.v
+    return s, s / fs.P, s[:-1] * fs.g
+
+
 def covariance_filter(y, x, prior, gamma, delta):
     """The discounted conjugate filter in covariance form, one step at a time.
 

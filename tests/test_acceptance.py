@@ -21,7 +21,7 @@ from blf.dlm import (
 from blf.simulate import roots_to_coeffs
 from blf.spectrum import Spectrogram, ase, default_freq_grid, tvar_spectrum
 from blf.tvar import TvarFit, parcor_to_tvar
-from helpers import classical_levinson, static_nig_posterior
+from helpers import classical_levinson, readouts, static_nig_posterior
 
 
 def _report(num, text):
@@ -40,7 +40,7 @@ def test_criterion_1_conjugacy_oracle():
                          v0=rng.uniform(0.5, 5.0), kappa0=rng.uniform(0.1, 4.0))
         fs = forward_filter(y, x, prior, DiscountPair(1.0, 1.0))
         expected = static_nig_posterior(y, x, prior)
-        got = (fs.mu[-1], fs.c[-1], fs.v[-1], fs.kappa[-1])
+        got = (fs.mu[-1], readouts(fs)[1][-1], fs.v[-1], fs.kappa[-1])
         np.testing.assert_allclose(got, expected, rtol=1e-10)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -17,7 +17,7 @@ from blf.dlm import (
     predictive_loglik,
 )
 
-from helpers import covariance_filter, static_nig_posterior
+from helpers import covariance_filter, readouts, static_nig_posterior
 
 STATIC = DiscountPair(1.0, 1.0)
 
@@ -44,7 +44,7 @@ class TestForwardFilter:
         for y, x, prior in static_problems():
             fs = forward_filter(y, x, prior, STATIC)
             expected = static_nig_posterior(y, x, prior)
-            got = (fs.mu[-1], fs.c[-1], fs.v[-1], fs.kappa[-1])
+            got = (fs.mu[-1], readouts(fs)[1][-1], fs.v[-1], fs.kappa[-1])
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_discounted_filter_matches_covariance_form(self):
@@ -72,14 +72,16 @@ class TestForwardFilter:
                              kappa0=rng.uniform(0.1, 4.0) * y_scale**2)
             fs = forward_filter(y, x, prior, DiscountPair(gamma, delta))
             ref = covariance_filter(y, x, prior, gamma, delta)
+            s, c, q = readouts(fs)
+            got = {"mu": fs.mu, "c": c, "v": fs.v, "kappa": fs.kappa, "s": s}
             for name, first in (("mu", prior.mu0), ("c", prior.c0), ("v", prior.v0),
                                 ("kappa", prior.kappa0)):
-                np.testing.assert_allclose(getattr(fs, name)[0], first, rtol=1e-15,
+                np.testing.assert_allclose(got[name][0], first, rtol=1e-15,
                                            err_msg=name)
             for name in ("c", "v", "kappa", "s"):
-                np.testing.assert_allclose(getattr(fs, name)[1:], ref[name],
+                np.testing.assert_allclose(got[name][1:], ref[name],
                                            rtol=1e-10, err_msg=name)
-            np.testing.assert_allclose(fs.q, ref["q"], rtol=1e-10, err_msg="q")
+            np.testing.assert_allclose(q, ref["q"], rtol=1e-10, err_msg="q")
             mu_scale = np.abs(ref["mu"]) + np.sqrt(ref["c"])
             assert np.all(np.abs(fs.mu[1:] - ref["mu"]) <= 1e-10 * mu_scale)
             mu_lag = np.concatenate([np.full((1,) + ref["mu"].shape[1:], prior.mu0),
@@ -89,15 +91,15 @@ class TestForwardFilter:
             assert np.all(np.abs(fs.e - ref["e"]) <= 1e-10 * scale)
 
     def test_zero_regressor_step(self):
-        """x_t = 0 forces z = 0, mu carried, q = s_{t-1}, e = y_t (state row
-        t is time t, forecast row t-1 is step t)."""
+        """x_t = 0 forces z = 0, mu carried, g = 1 (so q = s_{t-1}), e = y_t
+        (state row t is time t, forecast row t-1 is step t)."""
         prior = NIGPrior(0.5, 1.0, 2.0, 3.0)
         d = DiscountPair(0.9, 0.95)
         y = np.array([1.0, -2.0, 0.7])
         x = np.array([1.3, 0.0, -0.4])
         fs = forward_filter(y, x, prior, d)
         assert fs.mu[2] == fs.mu[1]
-        assert fs.q[1] == fs.s[1]
+        assert fs.g[1] == 1.0
         assert fs.e[1] == y[1]
 
     def test_reduction_identity(self):
@@ -119,7 +121,7 @@ class TestForwardFilter:
                              rng.uniform(0.1, 2))
             fs = forward_filter(y, x, prior, d)
             sm = backward_smooth(fs)
-            for arr in (fs.c, fs.s, fs.q, fs.v, sm.c, sm.s, sm.v):
+            for arr in (*readouts(fs), fs.v, sm.c, sm.s, sm.v):
                 assert np.all(arr > 0)
 
     def test_rejects_nonfinite_with_index(self):
@@ -153,10 +155,11 @@ class TestBackwardSmooth:
     def test_single_step_equals_filter(self):
         fs = forward_filter([1.5], [0.7], NIGPrior(), DiscountPair(0.9, 0.9))
         sm = backward_smooth(fs)
+        s, c, _ = readouts(fs)
         assert sm.mu[1] == fs.mu[1]
-        assert sm.c[1] == fs.c[1]
+        assert sm.c[1] == c[1]
         assert sm.v[1] == fs.v[1]
-        assert sm.kappa[1] == fs.kappa[1]
+        assert sm.s[1] == s[1]
 
     def test_static_limit_copies_final_value(self):
         rng = np.random.default_rng(4)
@@ -164,7 +167,7 @@ class TestBackwardSmooth:
                             NIGPrior(), STATIC)
         sm = backward_smooth(fs)
         assert np.all(sm.mu == fs.mu[-1])
-        assert np.all(sm.s == fs.s[-1])
+        assert np.all(sm.s == readouts(fs)[0][-1])
         assert np.all(sm.v == fs.v[-1])
 
     def test_boundary_identity_bitwise(self):
@@ -173,10 +176,11 @@ class TestBackwardSmooth:
         fs = forward_filter(rng.normal(size=40), rng.normal(size=40),
                             NIGPrior(), d)
         sm = backward_smooth(fs)
+        s, c, _ = readouts(fs)
         assert sm.mu[-1] == fs.mu[-1]
-        assert sm.c[-1] == fs.c[-1]
+        assert sm.c[-1] == c[-1]
         assert sm.v[-1] == fs.v[-1]
-        assert sm.s[-1] == fs.s[-1]
+        assert sm.s[-1] == s[-1]
 
     def test_smoothed_scale_consistent_with_sampler(self):
         """Smoothed coefficient scale bounded by the filtered one and
@@ -187,9 +191,10 @@ class TestBackwardSmooth:
         fs = forward_filter(rng.normal(size=T), rng.normal(size=T),
                             NIGPrior(), d)
         sm = backward_smooth(fs)
-        assert np.all(sm.c <= 10.0 * fs.c)
+        c = readouts(fs)[1]
+        assert np.all(sm.c <= 10.0 * c)
         interior = slice(5, T - 5)
-        assert np.mean(sm.c[interior] < fs.c[interior]) > 0.6
+        assert np.mean(sm.c[interior] < c[interior]) > 0.6
 
         theta, _ = backward_sample(fs, np.random.default_rng(21), size=20000)
         mc_var = theta.var(axis=1)
@@ -203,7 +208,7 @@ class TestPredictiveLoglik:
         """T=1 with e=0, q=1, v0=1 is the standard Cauchy density at 0."""
         prior = NIGPrior(0.0, 1.0, 1.0, 1.0)
         fs = forward_filter([0.0], [0.0], prior, STATIC)
-        assert fs.e[0] == 0.0 and fs.q[0] == 1.0
+        assert fs.e[0] == 0.0 and readouts(fs)[2][0] == 1.0
         assert predictive_loglik(fs) == pytest.approx(np.log(1.0 / np.pi), rel=1e-14)
 
     def test_static_limit_is_marginal_likelihood(self):
@@ -236,7 +241,8 @@ class TestPredictiveLoglik:
             want = math.fsum(
                 math.lgamma((v + 1) / 2) - math.lgamma(v / 2)
                 - 0.5 * math.log(v * math.pi * q) - (v + 1) / 2 * math.log1p(e * e / (v * q))
-                for v, e, q in zip(fs.v[:-1].tolist(), fs.e.tolist(), fs.q.tolist()))
+                for v, e, q in zip(fs.v[:-1].tolist(), fs.e.tolist(),
+                                   readouts(fs)[2].tolist()))
             assert predictive_loglik(fs) == pytest.approx(want, rel=1e-13)
 
     def test_deterministic(self):

@@ -7,6 +7,7 @@ from blf.dlm import DiscountPair, NIGPrior, backward_smooth, default_prior
 from blf.lattice import run_lattice, run_stage
 from blf.simulate import gen_tvar2
 from blf.tvar import path_sampler
+from helpers import readouts
 
 
 def ar1_series(phi, T, seed, burn=200):
@@ -60,9 +61,11 @@ class TestRunStage:
         st = run_stage(f_prev, b_prev, m, DiscountPair(0.9, 0.95), prior)
         for fs in (st.filter_f, st.filter_b):
             assert len(fs.mu) == T - m + 1 and len(fs.e) == T - m
+            s, c, _ = readouts(fs)
+            got = {"mu": fs.mu, "c": c, "v": fs.v, "kappa": fs.kappa, "s": s}
             for name, value in (("mu", prior.mu0), ("c", prior.c0), ("v", prior.v0),
                                 ("kappa", prior.kappa0), ("s", prior.kappa0 / prior.v0)):
-                assert getattr(fs, name)[0] == value, name
+                assert got[name][0] == value, name
         assert st.filter_f.e[0] == f_prev[m] - prior.mu0 * b_prev[0]
         assert st.filter_b.e[0] == b_prev[0] - prior.mu0 * f_prev[m]
         sm_f, sm_b = backward_smooth(st.filter_f), backward_smooth(st.filter_b)

@@ -108,7 +108,7 @@ def test_batch_smooth_equals_scalar(T, seed, pairs):
         fs = forward_filter(y[:, g], x[:, g], NIGPrior(),
                             DiscountPair(gammas[g], deltas[g]))
         sm = backward_smooth(fs)
-        for name in ("mu", "c", "v", "s", "kappa"):
+        for name in ("mu", "c", "v", "s"):
             assert np.array_equal(getattr(sm, name), getattr(smb, name)[:, g]), name
         np.testing.assert_allclose(predictive_loglik(fs), llb[g], rtol=1e-13)
 
@@ -128,13 +128,18 @@ def test_grid_filter_equals_scalar(T, seed, gammas, deltas):
     smb, llb = backward_smooth(fsb), predictive_loglik(fsb)
     assert fsb.mu.shape == (T + 1, Gg, 1) and fsb.e.shape == (T, Gg, 1)
     assert fsb.v.shape == (T + 1, 1, Gd) and fsb.kappa.shape == (T + 1, Gg, Gd)
+    assert fsb.P.shape == (T + 1, Gg, 1) and fsb.g.shape == (T, Gg, 1)
+    # Every stored trajectory is one of these six, so kappa is the only one
+    # at the full (Gg, Gd) width.
+    assert [f.name for f in fields(FilterState)
+            if np.ndim(getattr(fsb, f.name)) == 3] == ["mu", "P", "v", "kappa", "e", "g"]
     assert llb.shape == (Gg, Gd)
     for i, j in np.ndindex(Gg, Gd):
         fs = forward_filter(y, x, NIGPrior(), DiscountPair(gammas[i], deltas[j]))
         sm = backward_smooth(fs)
-        for name in ("mu", "c", "v", "kappa", "s", "e", "q"):
+        for name in ("mu", "P", "v", "kappa", "e", "g"):
             assert _same_bits(getattr(fs, name), _column(getattr(fsb, name), i, j)), name
-        for name in ("mu", "c", "v", "s", "kappa"):
+        for name in ("mu", "c", "v", "s"):
             assert _same_bits(getattr(sm, name), _column(getattr(smb, name), i, j)), name
         assert _same_bits(predictive_loglik(fs), llb[i, j])
 
