@@ -95,6 +95,9 @@ def cmd_fit(args) -> int:
     if args.draws != 0 and args.draws < 2:
         raise ValueError(f"--draws must be 0 or >= 2, got {args.draws}")
     _check_tau(args.tau)
+    if args.method != "fixed" and args.order is not None:
+        raise ValueError(f"--order applies only to --method fixed; --method "
+                         f"{args.method} selects the order itself")
     x = read_series_csv(args.input)
     grid = _grid_from_args(args)
     prior = replace(default_prior(x), **_prior_flags(args))

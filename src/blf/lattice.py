@@ -30,6 +30,11 @@ from .dlm import (
 __all__ = ["StageResult", "LatticeRun", "filter_rows", "run_stage", "run_lattice"]
 
 
+def _is_count(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class StageResult:
     """Smoothed output of one lattice stage.
@@ -116,8 +121,9 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     if f_prev.shape != b_prev.shape:
         raise ValueError("f_prev and b_prev must have equal shape")
     T = f_prev.shape[0]
-    if not 1 <= m < T:
-        raise ValueError(f"stage index m={m} must satisfy 1 <= m < T={T}")
+    if not (_is_count(m) and 1 <= m < T):
+        raise ValueError(f"stage index m={m!r} must be an integer with "
+                         f"1 <= m < T={T}")
 
     # The forward regression runs over t = m+1..T, the backward over 1..T-m.
     f_obs, b_obs = f_prev[m:], b_prev[:T - m]
@@ -156,8 +162,8 @@ def run_lattice(x, P: int, per_stage, prior: NIGPrior) -> LatticeRun:
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[0]
-    if not 1 <= P < T:
-        raise ValueError(f"order P={P} must satisfy 1 <= P < T={T}")
+    if not (_is_count(P) and 1 <= P < T):
+        raise ValueError(f"order P={P!r} must be an integer with 1 <= P < T={T}")
     pairs = [per_stage] * P if isinstance(per_stage, DiscountPair) else list(per_stage)
     if len(pairs) != P:
         raise ValueError(f"per_stage must have {P} entries, got {len(pairs)}")

@@ -36,7 +36,7 @@ from .dlm import (
     forward_filter,
     predictive_loglik,
 )
-from .lattice import LatticeRun, run_lattice, run_stage
+from .lattice import LatticeRun, _is_count, run_lattice, run_stage
 from .tvar import TvarFit, assemble_fit
 
 __all__ = [
@@ -61,10 +61,12 @@ class SearchGrid:
     def __post_init__(self):
         for name in ("gammas", "deltas"):
             vals = np.asarray(getattr(self, name), dtype=float)
-            if vals.size == 0 or np.any(vals <= 0) or np.any(vals > 1):
-                raise ValueError(f"{name} must be nonempty with values in (0, 1]")
-        if self.p_max < 1:
-            raise ValueError("p_max must be >= 1")
+            # NaN fails both comparisons, so it is rejected too.
+            if vals.size == 0 or not np.all((vals > 0) & (vals <= 1)):
+                raise ValueError(f"{name} must be nonempty with values in (0, 1], "
+                                 f"got {getattr(self, name)}")
+        if not (_is_count(self.p_max) and self.p_max >= 1):
+            raise ValueError(f"p_max must be an integer >= 1, got {self.p_max!r}")
 
     def pairs(self) -> list[DiscountPair]:
         """All (gamma, delta) combinations, gamma ascending then delta."""

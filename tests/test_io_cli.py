@@ -405,6 +405,17 @@ class TestCli:
             assert "error: tau must be finite and > 0" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_fit_rejects_order_with_a_search(self, tmp_path, capsys):
+        """A search picks its own order, so --order is refused, not ignored,
+        before the input (absent here) is read."""
+        out = tmp_path / "out"
+        for method in ("blfdyn", "blffix"):
+            assert main(["fit", str(tmp_path / "absent.csv"), "--method", method,
+                         "--order", "3", "--out-dir", str(out)]) == 1
+            assert "error: --order applies only to --method fixed" in \
+                capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("draws", ["-3", "1"])
     def test_fit_rejects_bad_draws_before_fitting(self, tmp_path, capsys, draws):
         src = tmp_path / "s.csv"

@@ -98,6 +98,8 @@ class TestRunStage:
             run_stage(x, x, 10, d, NIGPrior())
         with pytest.raises(ValueError, match="1 <= m < T"):
             run_stage(x, x, 0, d, NIGPrior())
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_stage(x, x, 2.5, d, NIGPrior())
 
 
 class TestRunLattice:
@@ -166,5 +168,8 @@ class TestRunLattice:
         x = np.zeros(20)
         with pytest.raises(ValueError, match="1 <= P < T"):
             run_lattice(x, 20, DiscountPair(0.9, 0.9), NIGPrior())
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                run_lattice(x, bad, DiscountPair(0.9, 0.9), NIGPrior())
         with pytest.raises(ValueError, match="entries"):
             run_lattice(x, 3, [DiscountPair(0.9, 0.9)] * 2, NIGPrior())

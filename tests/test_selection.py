@@ -72,6 +72,14 @@ class TestSearchGrid:
             SearchGrid(gammas=(0.0, 0.9), deltas=(0.9,), p_max=3)
         with pytest.raises(ValueError):
             SearchGrid(p_max=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="gammas"):
+                SearchGrid(gammas=(bad,))
+            with pytest.raises(ValueError, match="deltas"):
+                SearchGrid(deltas=(0.9, bad))
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="p_max must be an integer"):
+                SearchGrid(p_max=bad)
 
 
 class TestFitters:
