@@ -95,9 +95,10 @@ def cmd_fit(args) -> int:
     if args.draws != 0 and args.draws < 2:
         raise ValueError(f"--draws must be 0 or >= 2, got {args.draws}")
     _check_tau(args.tau)
-    if args.method != "fixed" and args.order is not None:
-        raise ValueError(f"--order applies only to --method fixed; --method "
-                         f"{args.method} selects the order itself")
+    given = [f for f in ("order", "gamma", "delta") if getattr(args, f) is not None]
+    if args.method != "fixed" and given:
+        raise ValueError(f"--{given[0]} applies only to --method fixed; --method "
+                         f"{args.method} selects the order and discounts itself")
     x = read_series_csv(args.input)
     grid = _grid_from_args(args)
     prior = replace(default_prior(x), **_prior_flags(args))
@@ -109,8 +110,8 @@ def cmd_fit(args) -> int:
     else:
         if args.order is None:
             raise ValueError("--method fixed requires --order")
-        report = fit_fixed(x, DiscountPair(args.gamma, args.delta), args.order,
-                           prior=prior)
+        d = DiscountPair(*(1.0 if v is None else v for v in (args.gamma, args.delta)))
+        report = fit_fixed(x, d, args.order, prior=prior)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("input", help="single-column CSV (optional header)")
     p_fit.add_argument("--method", choices=("blfdyn", "blffix", "fixed"),
                        default="blfdyn")
-    p_fit.add_argument("--gamma", type=float, default=1.0,
-                       help="coefficient discount (fixed method)")
-    p_fit.add_argument("--delta", type=float, default=1.0,
-                       help="variance discount (fixed method)")
+    p_fit.add_argument("--gamma", type=float, default=None,
+                       help="coefficient discount (fixed method, default 1)")
+    p_fit.add_argument("--delta", type=float, default=None,
+                       help="variance discount (fixed method, default 1)")
     p_fit.add_argument("--order", type=int, default=None,
                        help="model order (fixed method)")
     _add_grid_args(p_fit)

@@ -19,12 +19,10 @@ on, so grid-shaped discounts such as ``gamma[:, None]`` and
 ``delta[None, :]`` make a discount-grid search cheap: the coefficient
 recurrences run once per gamma, the degrees of freedom once per delta.
 
-Every recurrence whose coefficient is constant in time runs through one
-doubling kernel, ``_scan``: the forward filter's P, v and kappa forwards
-in time, the smoother's and the sampler's backwards on time-reversed views.
-The filter's mean mu, whose coefficient varies in time, is the module's
-one time loop.  Every step learns: a regression observes only the steps it
-has.
+Every recurrence runs through one doubling kernel, ``_scan``: the forward
+filter's P, mu, v and kappa forwards in time, the smoother's and the
+sampler's backwards on time-reversed views.  Every step learns: a
+regression observes only the steps it has.
 """
 
 from __future__ import annotations
@@ -142,6 +140,8 @@ def default_prior(x) -> NIGPrior:
     variance of the initial stretch of the signal (first 10%, at least 10
     points) so that E[1/sigma^2] = 1/var(initial segment)."""
     x = np.asarray(x, dtype=float)
+    if len(x) == 0:
+        raise ValueError("default_prior needs a non-empty series")
     n0 = min(len(x), max(10, len(x) // 10))
     seg_var = float(np.var(x[:n0]))
     if not np.isfinite(seg_var) or seg_var <= 0.0:
@@ -179,12 +179,12 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
     from P_0 = s_0/c_0: the covariance form (r = c_{t-1}/gamma,
     q_t = r x_t^2 + s_{t-1} = s_{t-1} g_t) rewritten on P = s/c with
     s = kappa/v, where 1/g_t = gamma P_{t-1} / P_t.  The state keeps what
-    these recurrences produce, and none of the read-outs s, c and q.  P, v
-    and kappa have coefficients constant in time and run through the
-    doubling kernel ``_scan``; mu runs step by step.  Each recurrence runs
-    at the broadcast width of what it depends on: P, g, mu and e at that of
-    the series and ``gamma``, v at that of ``delta``, and only kappa at the
-    full batch width.
+    these recurrences produce, and none of the read-outs s, c and q.  All
+    four run through the doubling kernel ``_scan``, mu with the coefficient
+    1/g_t that varies in time.  Each recurrence runs at the broadcast width
+    of what it depends on: P, g, mu and e at that of the series and
+    ``gamma``, v at that of ``delta``, and only kappa at the full batch
+    width.
 
     Parameters
     ----------
@@ -221,14 +221,8 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
 
     xx = x * x
     P = _scan(gamma, xx, prior.kappa0 / prior.v0 / prior.c0)
-    g = np.multiply(gamma, P[:-1])
-    np.divide(xx, g, out=g)
-    g += 1.0
-    z = x * y / P[1:]
-    mu = np.empty(P.shape)
-    mu[0] = prior.mu0
-    for t in range(n):
-        mu[t + 1] = mu[t] / g[t] + z[t]
+    g = 1.0 + xx / (gamma * P[:-1])
+    mu = _scan(1.0 / g, x * y / P[1:], prior.mu0)
     v = _scan(delta, np.ones((n,) + (1,) * ndim), prior.v0)
     e = y - mu[:-1] * x
     kappa = _scan(delta, e * e / g, prior.kappa0)
@@ -237,36 +231,42 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
 
 
 def _scan(a, b: np.ndarray, first) -> np.ndarray:
-    """``y[0] = first``, then ``y[t+1] = a y[t] + b[t]`` for t = 0..len(b)-1,
-    with ``a`` the same at every step (a scalar or a row, broadcast against
-    the rows of ``b`` and ``first``).
+    """``y[0] = first``, then ``y[t+1] = a[t] y[t] + b[t]`` for
+    t = 0..len(b)-1.  ``a`` broadcasts against ``b``: its leading time axis
+    has length len(b) for a coefficient that varies in time, and length 1
+    or none for a constant one.  ``first`` broadcasts to one row of that.
 
     A doubling scan (Hillis & Steele 1986; Blelloch 1990): the pass at
-    k = 1, 2, 4, ... adds ``a**k`` times row t-k to row t, so after it row t
-    holds the weighted sum of the 2k inputs ending at t, and log2(n + 1)
-    vectorized passes replace the time loop.  ``a**k`` is taken by repeated
-    squaring, and every element goes through the same operations at any row
-    width, so a batch column equals its scalar run bit for bit.  Row t is
-    final after the passes with k <= t, so the first rows of a longer scan
-    are the rows of a shorter one.
+    k = 1, 2, 4, ... adds row t-k to row t times the product of the k
+    coefficients a[t-k..t-1] between them, so after it row t holds the
+    weighted sum of the 2k inputs ending at t, and log2(n + 1) vectorized
+    passes replace the time loop.  ``c`` holds those products at the width
+    of ``a``, one per row the pass updates, and each pass doubles them,
+    multiplying each by the one k rows before it and keeping the rows the
+    next pass updates.  A constant's single row stands for every row, so it
+    is squared: a**k by repeated squaring.  Every element goes through the
+    same operations at any row width, so a batch column equals its scalar
+    run bit for bit.  Row t is final after the passes with k <= t, so the
+    first rows of a longer scan are the rows of a shorter one.
     """
-    y = np.empty((len(b) + 1,) + np.broadcast_shapes(np.shape(a), b.shape[1:],
-                                                     np.shape(first)))
+    y = np.empty((len(b) + 1,) + np.broadcast_shapes(np.shape(a), b.shape)[1:])
     y[0] = first
     y[1:] = b
+    c = np.array(a, dtype=float, ndmin=b.ndim)
     term = np.empty_like(y)
-    k, ak = 1, a
+    k = 1
     while k < len(y):
-        np.multiply(y[:-k], ak, out=term[k:])
+        np.multiply(y[:-k], c, out=term[k:])
         y[k:] += term[k:]
-        k, ak = 2 * k, ak * ak
+        c = c[min(k, len(c) - 1):] * c[:max(len(c) - k, 1)]
+        k *= 2
     return y
 
 
 def _backward(a, b: np.ndarray, last) -> np.ndarray:
-    """``y[n] = last``, then ``y[t] = a y[t+1] + b[t]`` for t = n-1..0, with
-    ``a`` the same at every step."""
-    return _scan(a, b[::-1], last)[::-1]
+    """``y[n] = last``, then ``y[t] = a[t] y[t+1] + b[t]`` for t = n-1..0,
+    with ``a`` broadcast as in ``_scan``."""
+    return _scan(np.array(a, ndmin=b.ndim)[::-1], b[::-1], last)[::-1]
 
 
 def backward_smooth(fs: FilterState) -> SmoothState:

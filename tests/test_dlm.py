@@ -55,15 +55,19 @@ class TestForwardFilter:
         since it may cross zero, and e on the scale |y| + |x mu_{t-1}| of the
         terms it differences.  The prior is drawn on the coefficient's own
         scale y/x: one many orders off it makes the problem ill-conditioned,
-        and either form can then stray about 1e-10 from exact arithmetic."""
+        and either form can then stray about 1e-10 from exact arithmetic.
+        The last six problems are long (T = 1024 and 4096) and have exact
+        zeros in x, steps where the mean's scan coefficient 1/g_t is 1."""
         rng = np.random.default_rng(15)
-        for i in range(240):
-            T = int(rng.integers(1, 60))
+        for i in range(246):
+            T = int(rng.integers(1, 60)) if i < 240 else (1024, 4096)[i % 2]
             form = i % 3  # scalar, (T, G) series, 1-D series with (G,) discounts
             size = (T, 4) if form == 1 else T
             y_scale, x_scale = 10 ** rng.uniform(-3, 3, size=2)
             y = rng.normal(size=size) * y_scale
             x = rng.normal(size=size) * x_scale
+            if i >= 240:
+                x[rng.random(size) < 0.2] = 0.0
             gamma, delta = rng.uniform(0.8, 1.0, size=(2, 4) if form else 2)
             theta_scale = y_scale / x_scale
             prior = NIGPrior(mu0=rng.normal() * theta_scale,
@@ -301,13 +305,13 @@ class TestBackwardSample:
 
 
 def loop_scan(a, b, first):
-    """Python-float reference: y[0] = first, y[t+1] = a y[t] + b[t], one
+    """Python-float reference: y[0] = first, y[t+1] = a[t] y[t] + b[t], one
     column and one step at a time."""
     out = []
     for j in range(len(first)):
         y = [first[j]]
         for t in range(len(b)):
-            y.append(a[j] * y[-1] + b[t][j])
+            y.append(a[t][j] * y[-1] + b[t][j])
         out.append(y)
     return np.array(out).T.reshape(len(b) + 1, len(first))
 
@@ -317,24 +321,32 @@ class TestScanKernel:
     @pytest.mark.parametrize("width", [1, 11, 64, 121])
     def test_doubling_scan_matches_loop(self, n, width):
         """Forward and backward scans equal the step-by-step loop to 1e-13 on
-        the scale of the loop over |a| and |b|, for a = 1, for a = 0.8 and for
-        a row of gamma^2, where a**k underflows to 0 at the long lengths; b
-        has mixed signs, so cancellation is covered too."""
+        the scale of the loop over |a| and |b|, for a = 1, for a = 0.8, for a
+        row of gamma^2, where a**k underflows to 0 at the long lengths, and
+        for an a that varies in time between about 1e-3 and exact 1s, as the
+        filter mean's 1/g_t does; b has mixed signs, so cancellation is
+        covered too."""
         rng = np.random.default_rng(n * 1000 + width)
         gamma = np.linspace(0.8, 1.0, width)
         b = rng.normal(size=(n, width))
         first = rng.normal(size=width)
-        for a in (np.ones(width), np.full(width, 0.8), gamma**2):
-            row = a if width > 1 else a[0]  # a row, or one scalar for all
-            want = loop_scan(a.tolist(), b.tolist(), first.tolist())
-            scale = loop_scan(a.tolist(), np.abs(b).tolist(), np.abs(first).tolist())
-            got = _scan(row, b, first)
+        varying = 10.0 ** rng.uniform(-3.0, 0.0, size=(n, width))
+        varying[rng.random((n, width)) < 0.3] = 1.0
+        for a in (np.ones(width), np.full(width, 0.8), gamma**2, varying):
+            # a row or a time-varying array, or one scalar for all
+            arg = a if width > 1 or a.ndim == 2 else a[0]
+            steps = np.broadcast_to(a, (n, width))
+            want = loop_scan(steps.tolist(), b.tolist(), first.tolist())
+            scale = loop_scan(steps.tolist(), np.abs(b).tolist(),
+                              np.abs(first).tolist())
+            got = _scan(arg, b, first)
             assert got.shape == (n + 1, width)
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
-            want_b = loop_scan(a.tolist(), b[::-1].tolist(), first.tolist())[::-1]
-            scale_b = loop_scan(a.tolist(), np.abs(b[::-1]).tolist(),
+            want_b = loop_scan(steps[::-1].tolist(), b[::-1].tolist(),
+                               first.tolist())[::-1]
+            scale_b = loop_scan(steps[::-1].tolist(), np.abs(b[::-1]).tolist(),
                                 np.abs(first).tolist())[::-1]
-            got_b = _backward(row, b, first)
+            got_b = _backward(arg, b, first)
             assert np.all(np.abs(got_b - want_b) <= 1e-13 * scale_b)
 
     def test_unit_variance_discount_counts_exactly(self):

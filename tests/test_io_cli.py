@@ -229,6 +229,12 @@ class TestCli:
                      "--out-dir", str(out)]) == 0
         coeffs = read_coeffs_csv(out / "coefficients.csv")
         assert np.all(np.abs(coeffs) < 0.1)
+        # --gamma and --delta default to 1 with --method fixed
+        unset = tmp_path / "unset"
+        assert main(["fit", str(src), "--method", "fixed", "--order", "1",
+                     "--out-dir", str(unset)]) == 0
+        assert (unset / "coefficients.csv").read_bytes() == \
+            (out / "coefficients.csv").read_bytes()
 
     def test_fit_posterior_surfaces_written(self, tmp_path):
         rng = np.random.default_rng(46)
@@ -406,15 +412,17 @@ class TestCli:
             assert not out.exists()
 
     def test_fit_rejects_order_with_a_search(self, tmp_path, capsys):
-        """A search picks its own order, so --order is refused, not ignored,
-        before the input (absent here) is read."""
+        """A search picks its own order and discounts, so --order, --gamma
+        and --delta are refused, not ignored, before the input (absent here)
+        is read."""
         out = tmp_path / "out"
         for method in ("blfdyn", "blffix"):
-            assert main(["fit", str(tmp_path / "absent.csv"), "--method", method,
-                         "--order", "3", "--out-dir", str(out)]) == 1
-            assert "error: --order applies only to --method fixed" in \
-                capsys.readouterr().err
-            assert not out.exists()
+            for flag, val in (("--order", "3"), ("--gamma", "0.5"), ("--delta", "0.5")):
+                assert main(["fit", str(tmp_path / "absent.csv"), "--method", method,
+                             flag, val, "--out-dir", str(out)]) == 1
+                assert f"error: {flag} applies only to --method fixed" in \
+                    capsys.readouterr().err
+                assert not out.exists()
 
     @pytest.mark.parametrize("draws", ["-3", "1"])
     def test_fit_rejects_bad_draws_before_fitting(self, tmp_path, capsys, draws):

@@ -219,6 +219,14 @@ class TestFitters:
         grid = SearchGrid(SMALL_GRID.gammas, SMALL_GRID.deltas, p_max=11)
         assert 1 <= fitter(x, grid=grid).chosen_order <= 11
 
+    def test_empty_series_rejected_by_the_default_prior(self):
+        """An empty series has no variance to match: a ValueError, not
+        numpy's degrees-of-freedom RuntimeWarning from np.var."""
+        with pytest.raises(ValueError, match="non-empty series"):
+            default_prior([])
+        with pytest.raises(ValueError, match="non-empty series"):
+            fit_fixed([], DiscountPair(1.0, 1.0), 1)
+
 
 class TestScreeTable:
     def test_rows_and_first_pct_undefined(self):
