@@ -39,15 +39,32 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# The % conversion of each cell type a row template writes; "%.0s" writes
+# None as an empty cell.
+_CELLS = {float: "%.17g", int: "%d", type(None): "%.0s"}
+
+
 def _write_csv(path, header, rows) -> None:
     """The one CSV writer: ``header``, then ``rows``.  Float cells get
     ``fmt``'s 17 digits; int and str cells pass through, and None is an
-    empty cell.  Rows are fastest as Python floats, one ``tolist()`` per
-    row, which keeps only one row's Python floats alive."""
+    empty cell.  A row of Python floats, ints and Nones is written by one
+    ``%`` template per row shape (its cell types), made once per file; any
+    other row goes through ``csv.writer``, which quotes string cells.  Rows
+    are fastest as Python floats, one ``tolist()`` per row, which keeps
+    only one row's Python floats alive."""
+    templates = {}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         for row in chain([header], rows):
-            w.writerow([fmt(c) if isinstance(c, float) else c for c in row])
+            shape = tuple(map(type, row))
+            if shape not in templates:
+                cells = [_CELLS.get(kind) for kind in shape]
+                templates[shape] = None if None in cells else ",".join(cells) + "\r\n"
+            template = templates[shape]
+            if template is None:
+                w.writerow([fmt(c) if isinstance(c, float) else c for c in row])
+            else:
+                fh.write(template % tuple(row))
 
 
 def _numbered(table):

@@ -163,7 +163,10 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
     rng : numpy.random.Generator, optional
     chunk : int
         Draws per ``draw_paths`` call (>= 1).  The sampler's arrays scale
-        with chunk x T x P.  Each chunk's log density,
+        with chunk x T x P: :func:`blf.tvar.path_sampler` holds two
+        stage-major (P, T, chunk) buffers and one stage's (T + 1, chunk)
+        sampler rows at a time, and returns the coefficients as a
+        transposed view of its forward buffer.  Each chunk's log density,
         log sigma^2 - log |A(w)|^2 in real arithmetic, and its moments are
         evaluated over blocks of time steps whose cos and sin parts hold
         about ``_BLOCK_BYTES`` (1 MiB), and at least two steps, so their

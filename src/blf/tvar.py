@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dlm import backward_sample
-from .lattice import LatticeRun, filter_rows
+from .lattice import LatticeRun, _is_count, filter_rows
 
 __all__ = ["TvarFit", "parcor_to_tvar", "assemble_fit", "path_sampler"]
 
@@ -32,6 +32,33 @@ class TvarFit:
     @property
     def P(self) -> int:
         return self.coeffs.shape[1]
+
+
+def _levinson(a: np.ndarray, d: np.ndarray) -> None:
+    """The Levinson recursion of :func:`parcor_to_tvar`, in place on grids
+    whose stage axis comes first.
+
+    On entry row m-1 of ``a`` and ``d`` holds alpha_m and beta_m; on return
+    ``a`` and ``d`` hold the final-stage coefficients.  Stage m reads row
+    m-1, which no earlier stage has written, and rewrites rows 0..m-2 a
+    mirror pair (k, m-2-k) at a time, each new value from the old ones by
+    one multiply and one subtract, as the recursion reads.  Two work rows
+    hold the products.
+    """
+    t = np.empty((2,) + a.shape[1:])
+    for m in range(2, len(a) + 1):
+        am, dm = a[m - 1], d[m - 1]
+        for k in range(m // 2):
+            j = m - 2 - k
+            np.multiply(am, d[j], out=t[0])
+            np.multiply(dm, a[k], out=t[1])
+            a[k] -= t[0]
+            d[j] -= t[1]
+            if j > k:
+                np.multiply(am, d[k], out=t[0])
+                np.multiply(dm, a[j], out=t[1])
+                a[j] -= t[0]
+                d[k] -= t[1]
 
 
 def parcor_to_tvar(alpha, beta):
@@ -63,30 +90,30 @@ def parcor_to_tvar(alpha, beta):
         raise ValueError("alpha and beta grids must have equal shape")
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
         raise ValueError("PARCOR grids must be finite")
-    P = alpha.shape[-1]
-
-    a = alpha.copy()
-    d = beta.copy()
-    for m in range(2, P + 1):
-        am = alpha[..., m - 1 : m]
-        dm = beta[..., m - 1 : m]
-        head_a = a[..., : m - 1]
-        head_d = d[..., : m - 1]
-        new_a = head_a - am * head_d[..., ::-1]
-        new_d = head_d - dm * head_a[..., ::-1]
-        a[..., : m - 1] = new_a
-        d[..., : m - 1] = new_d
+    a, d = alpha.copy(), beta.copy()
+    _levinson(np.moveaxis(a, -1, 0), np.moveaxis(d, -1, 0))
     return a, d
+
+
+def _check_order(run: LatticeRun, P) -> None:
+    if not _is_count(P):
+        raise ValueError(f"order P={P!r} must be an integer")
+    if P < 1 or P > run.order:
+        raise ValueError(f"P={P} exceeds available stages ({run.order})")
 
 
 def assemble_fit(run: LatticeRun, P: int) -> TvarFit:
     """Build the order-P TVAR fit from the first P stages of a lattice run."""
-    if P < 1 or P > run.order:
-        raise ValueError(f"P={P} exceeds available stages ({run.order})")
+    _check_order(run, P)
     alpha = np.stack([run.stages[m].alpha for m in range(P)], axis=-1)
     beta = np.stack([run.stages[m].beta for m in range(P)], axis=-1)
     coeffs, _ = parcor_to_tvar(alpha, beta)
     return TvarFit(coeffs=coeffs, sigma2=run.stages[P - 1].sf2.copy())
+
+
+# Bytes of forward and backward stage rows per time block of a draw's
+# Levinson pass, 16 P per (draw, t): 170 steps at 64 draws and P = 6.
+_BLOCK_BYTES = 1 << 20
 
 
 def path_sampler(run: LatticeRun, P: int):
@@ -98,22 +125,34 @@ def path_sampler(run: LatticeRun, P: int):
     through the Levinson recursion.  Each filter's rows are placed on the
     times 1..T as the smoothed stage paths are, by
     :func:`blf.lattice.filter_rows`.  Used for posterior spectral surfaces.
+
+    A draw gathers the stage paths into two stage-major buffers of shape
+    (P, T, size), forward and backward, and runs the recursion in place
+    over blocks of time steps whose rows in both hold about
+    ``_BLOCK_BYTES`` (1 MiB).  ``coeffs`` is the forward buffer seen as
+    (size, T, P), a transposed view, not a contiguous copy; ``sigma2`` is
+    a transposed (T, size) array.  A stage's paths are freed once they are
+    in the buffers, so beside the two buffers a draw holds at most six
+    (T + 1, size) rows of sampler output and temporaries.
     """
-    if P < 1 or P > run.order:
-        raise ValueError(f"P={P} exceeds available stages ({run.order})")
+    _check_order(run, P)
     T = len(run.x)
     stages = run.stages[:P]
 
     def draw(rng: np.random.Generator, size: int):
-        alpha = np.empty((size, T, P))
-        beta = np.empty((size, T, P))
+        a = np.empty((P, T, size))
+        d = np.empty((P, T, size))
         for j, st in enumerate(stages):
             rows_f, rows_b = filter_rows(T, st.m)
-            th_f, s2_f = backward_sample(st.filter_f, rng, size=size)
-            th_b, _ = backward_sample(st.filter_b, rng, size=size)
-            alpha[:, :, j] = th_f[rows_f].T
-            beta[:, :, j] = th_b[rows_b].T
-        coeffs, _ = parcor_to_tvar(alpha, beta)
-        return coeffs, s2_f[rows_f].T  # the stage-P forward variance path
+            th, s2 = backward_sample(st.filter_f, rng, size=size)
+            np.take(th, rows_f, axis=0, out=a[j])
+            del th
+            np.take(backward_sample(st.filter_b, rng, size=size)[0], rows_b,
+                    axis=0, out=d[j])
+        sigma2 = s2[rows_f].T  # the stage-P forward variance path
+        step = max(1, _BLOCK_BYTES // (16 * P * max(size, 1)))
+        for t in range(0, T, step):
+            _levinson(a[:, t:t + step], d[:, t:t + step])
+        return a.transpose(2, 1, 0), sigma2
 
     return draw

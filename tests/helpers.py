@@ -4,7 +4,8 @@ These deliberately re-derive results through routes the library does not
 use: batch conjugate algebra instead of sequential updating, the
 covariance-form filter step by step instead of the information-form scan,
 the classical constant-coefficient recursion instead of the time-varying
-one, and posterior moments of whole chunks instead of time blocks.
+one, the time-varying one out of place instead of in place, and posterior
+moments of whole chunks instead of time blocks.
 """
 
 import numpy as np
@@ -78,6 +79,18 @@ def classical_levinson(parcor):
         k = parcor[m - 1]
         a = [a[j] - k * a[m - 2 - j] for j in range(m - 1)] + [k]
     return np.array(a)
+
+
+def levinson_out_of_place(alpha, beta):
+    """The time-varying Levinson recursion over (..., P) grids, each stage
+    built from whole copies of the previous one:
+    a_k^(m) = a_k^(m-1) - a_m^(m) d_{m-k}^(m-1), and d likewise."""
+    a, d = np.array(alpha, dtype=float), np.array(beta, dtype=float)
+    for m in range(2, a.shape[-1] + 1):
+        head_a, head_d = a[..., :m - 1].copy(), d[..., :m - 1].copy()
+        a[..., :m - 1] = head_a - a[..., m - 1:m] * head_d[..., ::-1]
+        d[..., :m - 1] = head_d - d[..., m - 1:m] * head_a[..., ::-1]
+    return a, d
 
 
 def unblocked_posterior(draw_paths, n_draws, freqs, rng, chunk=64):

@@ -1,13 +1,17 @@
-"""Levinson recursion tests against the classical constant-coefficient oracle."""
+"""Levinson recursion tests against the classical constant-coefficient
+oracle, and posterior path sampler tests against whole-grid draws."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blf.dlm import DiscountPair, default_prior
-from blf.lattice import run_lattice
-from blf.simulate import gen_tvar2
-from blf.tvar import assemble_fit, parcor_to_tvar
-from helpers import classical_levinson
+from blf import tvar
+from blf.dlm import DiscountPair, backward_sample, default_prior
+from blf.lattice import filter_rows, run_lattice
+from blf.simulate import gen_tvar2, gen_tvar6
+from blf.tvar import assemble_fit, parcor_to_tvar, path_sampler
+from helpers import classical_levinson, levinson_out_of_place
 
 
 class TestParcorToTvar:
@@ -56,6 +60,16 @@ class TestParcorToTvar:
         assert np.array_equal(ap, a[perm])
         assert np.array_equal(dp, d[perm])
 
+    @pytest.mark.parametrize("shape", [(7, 1), (7, 2), (5, 6), (3, 4, 9)])
+    def test_equals_out_of_place_recursion_bitwise(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        alpha = rng.uniform(-0.9, 0.9, size=shape)
+        beta = rng.uniform(-0.9, 0.9, size=shape)
+        a, d = parcor_to_tvar(alpha, beta)
+        ref_a, ref_d = levinson_out_of_place(alpha, beta)
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(d, ref_d)
+
     def test_rejects_shape_mismatch_and_nonfinite(self):
         with pytest.raises(ValueError, match="equal shape"):
             parcor_to_tvar(np.zeros((3, 2)), np.zeros((3, 3)))
@@ -99,3 +113,82 @@ class TestAssembleFit:
         run = run_lattice(x, 2, DiscountPair(0.9, 0.9), default_prior(x))
         with pytest.raises(ValueError, match="exceeds"):
             assemble_fit(run, 3)
+
+    def test_rejects_non_integer_order(self):
+        x = np.random.default_rng(20).normal(size=100)
+        run = run_lattice(x, 2, DiscountPair(0.9, 0.9), default_prior(x))
+        with pytest.raises(ValueError, match=r"order P=2\.5 must be an integer"):
+            assemble_fit(run, 2.5)
+        assert assemble_fit(run, np.int64(2)).P == 2
+
+
+def stacked_draw(run, P, rng, size):
+    """Posterior paths through whole grids: each stage's sampler rows
+    placed by ``filter_rows`` into (size, T, P) grids, then
+    ``parcor_to_tvar`` on those grids."""
+    T = len(run.x)
+    alpha, beta = np.empty((2, size, T, P))
+    for j, st in enumerate(run.stages[:P]):
+        rows_f, rows_b = filter_rows(T, st.m)
+        th_f, s2_f = backward_sample(st.filter_f, rng, size=size)
+        th_b, _ = backward_sample(st.filter_b, rng, size=size)
+        alpha[:, :, j] = th_f[rows_f].T
+        beta[:, :, j] = th_b[rows_b].T
+    coeffs, _ = parcor_to_tvar(alpha, beta)
+    return coeffs, s2_f[rows_f].T
+
+
+class TestPathSampler:
+    @pytest.mark.parametrize("P, T, size, budget", [
+        (1, 301, 5, 1000),   # blocks of 12 steps, the last of 1
+        (2, 301, 5, 1000),   # blocks of 6, the last of 1
+        (6, 301, 5, 1000),   # blocks of 2, the last of 1
+        (6, 8, 3, None),     # stage 6 has T - m = 2 regression steps
+        (6, 1000, 64, None),  # the default budget: blocks of 170, the last of 150
+    ])
+    def test_equals_stacked_levinson_bitwise(self, monkeypatch, P, T, size, budget):
+        """Stage-major buffers run in place over time blocks give the bits
+        and the generator stream of whole (size, T, P) grids."""
+        if budget is not None:
+            monkeypatch.setattr(tvar, "_BLOCK_BYTES", budget)
+        x = np.random.default_rng(T + P).normal(size=T)
+        run = run_lattice(x, P, DiscountPair(0.95, 0.9), default_prior(x))
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):
+            coeffs, sigma2 = path_sampler(run, P)(rng, size)
+            ref_coeffs, ref_sigma2 = stacked_draw(run, P, ref_rng, size)
+            assert coeffs.shape == (size, T, P) and sigma2.shape == (size, T)
+            assert np.array_equal(coeffs, ref_coeffs)
+            assert np.array_equal(sigma2, ref_sigma2)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_zero_draws_give_empty_paths(self):
+        x = np.random.default_rng(22).normal(size=50)
+        run = run_lattice(x, 2, DiscountPair(0.9, 0.9), default_prior(x))
+        coeffs, sigma2 = path_sampler(run, 2)(np.random.default_rng(0), 0)
+        assert coeffs.shape == (0, 50, 2) and sigma2.shape == (0, 50)
+
+    @pytest.mark.parametrize("P", [2.5, True, "2"])
+    def test_rejects_non_integer_order(self, P):
+        x = np.random.default_rng(21).normal(size=100)
+        run = run_lattice(x, 2, DiscountPair(0.9, 0.9), default_prior(x))
+        with pytest.raises(ValueError, match=f"order P={P!r} must be an integer"):
+            path_sampler(run, P)
+
+    def test_draw_memory_is_bounded(self):
+        """The traced peak of one 64-draw call at T=4096, P=6 stays within
+        two (P, T + 1, size) buffers and ten (T + 1, size) rows, 44.0 MiB.
+        The draw holds its two buffers and at most six rows of sampler
+        output and temporaries (36.1 MiB); whole (size, T, P) grids with
+        out-of-place Levinson temporaries took 94.1 MiB."""
+        T, P, size = 4096, 6, 64
+        x = gen_tvar6(T, seed=0).x
+        run = run_lattice(x, P, DiscountPair(0.98, 0.98), default_prior(x))
+        draw = path_sampler(run, P)
+        tracemalloc.start()
+        try:
+            draw(np.random.default_rng(0), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (T + 1) * size * (2 * P + 10)
