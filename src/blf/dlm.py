@@ -382,7 +382,8 @@ def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
     are made up front, in four generator calls: 1/sigma_n^2, every
     precision shock in backward-pass order, theta_n's normal, then the
     normals of steps n-1..0 when gamma < 1.  A shock of shape 0 (delta = 1)
-    is exactly 0 and uses no generator state.
+    is exactly 0 and uses no generator state.  This is the one-block case
+    of :func:`_block_sampler`.
 
     Parameters
     ----------
@@ -397,22 +398,56 @@ def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
     (theta_path, sigma2_path) : ndarray pair of shape (n + 1, size)
         Row t is time t = 0..n, as in the filter.
     """
+    return _block_sampler(fs, rng, size)(0)
+
+
+def _block_sampler(fs: FilterState, rng: np.random.Generator, size: int):
+    """The joint path draw of :func:`backward_sample`, made a block of rows
+    at a time from the last row back.
+
+    Returns ``rows(lo)``.  Each call draws rows lo..hi-1, where hi is the
+    previous call's ``lo`` (n at the first call), and returns rows lo..hi
+    of (theta, sigma2), shape (hi - lo + 1, size); row hi is the one the
+    previous call drew, carried as each recursion's starting value, since
+    both recursions have a constant coefficient.  ``lo`` must not increase
+    from call to call.  A call makes its generator calls in the order of
+    :func:`backward_sample`: at the first call 1/sigma_n^2, the block's
+    precision shocks, theta_n's normal and the block's normals; later calls
+    the block's shocks and normals.  So one call with ``lo = 0`` is
+    :func:`backward_sample`, and a split draw of one regression uses the
+    generator's values in another order.  Between calls the sampler holds
+    one row of each recursion.
+    """
     if fs.mu.ndim != 1:
         raise ValueError("backward_sample expects a filter over a single series")
     gamma, delta = fs.gamma, fs.delta
-    n = len(fs.mu) - 1
+    hi = len(fs.mu) - 1
+    prec = theta = None
 
-    phi_n = rng.gamma(fs.v[-1] / 2.0, 2.0 / fs.kappa[-1], size=size)
-    shocks = rng.gamma(((1.0 - delta) * fs.v[:-1] / 2.0)[::-1, None],
-                       (2.0 / fs.kappa[:-1])[::-1, None], size=(n, size))[::-1]
-    z_n = rng.standard_normal(size)
-    z = rng.standard_normal((n, size))[::-1] if gamma < 1.0 else np.zeros((n, size))
+    def rows(lo: int):
+        nonlocal hi, prec, theta
+        first = prec is None
+        if first:
+            prec = rng.gamma(fs.v[-1] / 2.0, 2.0 / fs.kappa[-1], size=size)
+        new = slice(lo, hi)
+        shocks = rng.gamma(((1.0 - delta) * fs.v[new] / 2.0)[::-1, None],
+                           (2.0 / fs.kappa[new])[::-1, None],
+                           size=(hi - lo, size))[::-1]
+        z_n = rng.standard_normal(size) if first else None
+        z = (rng.standard_normal((hi - lo, size))[::-1] if gamma < 1.0
+             else np.zeros((hi - lo, size)))
 
-    # Work in place: every (n, size) temporary adds to peak memory.
-    sigma2 = _backward(delta, shocks, phi_n)
-    np.divide(1.0, sigma2, out=sigma2)
-    theta_n = fs.mu[-1] + np.sqrt(sigma2[-1] / fs.P[-1]) * z_n
-    var = ((1.0 - gamma) / fs.P[:-1])[:, None]
-    z *= np.sqrt(np.multiply(var, sigma2[:-1], out=shocks), out=shocks)
-    z += ((1.0 - gamma) * fs.mu[:-1])[:, None]  # offsets (1-gamma) mu_t + sd_t z_t
-    return _backward(gamma, z, theta_n), sigma2
+        # Work in place: every (rows, size) temporary adds to peak memory.
+        sigma2 = _backward(delta, shocks, prec)
+        prec = sigma2[0].copy()
+        np.divide(1.0, sigma2, out=sigma2)
+        if first:
+            theta = fs.mu[-1] + np.sqrt(sigma2[-1] / fs.P[-1]) * z_n
+        var = ((1.0 - gamma) / fs.P[new])[:, None]
+        z *= np.sqrt(np.multiply(var, sigma2[:-1], out=shocks), out=shocks)
+        z += ((1.0 - gamma) * fs.mu[new])[:, None]  # (1-gamma) mu_t + sd_t z_t
+        path = _backward(gamma, z, theta)
+        theta, hi = path[0].copy(), lo
+        return path, sigma2
+
+    return rows

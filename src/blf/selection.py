@@ -141,43 +141,51 @@ def _search_inputs(x, grid: SearchGrid | None,
     return grid, x, default_prior(x) if prior is None else prior
 
 
-def _batched_pairs(grid: SearchGrid) -> tuple[list[DiscountPair], DiscountPair]:
-    """The grid's pairs, and the same pairs as grid-shaped discounts: gamma
-    on the first batch axis and delta on the second, so that a batched
-    score ``.ravel()``-ed is in ``pairs`` order."""
-    gam = np.array(sorted(grid.gammas), dtype=float)
-    dlt = np.array(sorted(grid.deltas), dtype=float)
-    return grid.pairs(), DiscountPair(gam[:, None], dlt[None, :])
+def _batched_pairs(grid: SearchGrid):
+    """The grid's pairs as grid-shaped discounts, gamma on the first batch
+    axis and delta on the second, and ``pair(k)``, the pair at index k of a
+    batched score ``.ravel()``-ed, which is ``grid.pairs()[k]``.  A search
+    reads only a few pairs, so it builds only those."""
+    gammas, deltas = sorted(grid.gammas), sorted(grid.deltas)
+
+    def pair(k: int) -> DiscountPair:
+        g, d = divmod(k, len(deltas))
+        return DiscountPair(gammas[g], deltas[d])
+
+    return pair, DiscountPair(np.array(gammas, dtype=float)[:, None],
+                              np.array(deltas, dtype=float)[None, :])
 
 
-def _require_finite(ll: np.ndarray, pairs: list[DiscountPair], m: int) -> None:
+def _require_finite(ll: np.ndarray, pair, m: int) -> None:
     """Raise naming the first grid pair whose stage-m score is not finite."""
     bad = np.flatnonzero(~np.isfinite(ll))
     if bad.size:
-        pair = pairs[bad[0]]
+        first = pair(int(bad[0]))
         raise ValueError(f"non-finite predictive log likelihood at stage m={m} for "
-                         f"(gamma, delta)=({pair.gamma}, {pair.delta})")
+                         f"(gamma, delta)=({first.gamma}, {first.delta})")
 
 
-def _causal_scree(x: np.ndarray, pairs: list[DiscountPair], batch: DiscountPair,
+def _causal_scree(x: np.ndarray, pair, batch: DiscountPair,
                   p_max: int, prior: NIGPrior) -> np.ndarray:
     """Per-stage predictive log likelihoods of a causal lattice pass.
 
     Stage outputs are the filters' one-step forecast errors: the stage-m
     forward errors cover t = m+1..T and the backward ones t = 1..T-m, so
     stage m+1 regresses ``f[1:]`` on ``b[:-1]``.  ``batch`` holds the grid-
-    shaped discounts of ``pairs``; the result has shape (p_max, len(pairs)).
+    shaped discounts and ``pair`` names a pair by index, as
+    :func:`_batched_pairs` returns them; the result has shape
+    (p_max, number of pairs).
     The errors depend on gamma alone, so the series stay one column per
     gamma, and the backward regression, whose only output is its errors,
     runs at delta = 1.
     """
-    scree = np.empty((p_max, len(pairs)))
+    scree = np.empty((p_max, batch.gamma.size * batch.delta.size))
     errors_only = DiscountPair(batch.gamma, 1.0)
     f = b = x
     for m in range(1, p_max + 1):
         fs_f = forward_filter(f[1:], b[:-1], prior, batch)
         scree[m - 1] = predictive_loglik(fs_f).ravel()
-        _require_finite(scree[m - 1], pairs, m)
+        _require_finite(scree[m - 1], pair, m)
         b = forward_filter(b[:-1], f[1:], prior, errors_only).e
         # Free the forward filter before the next stage runs, since every
         # array alive at once adds to the peak.
@@ -223,7 +231,7 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     stage; stage ``p_max`` is smoothed only if the order rule keeps it.
     """
     grid, x, prior = _search_inputs(x, grid, prior)
-    pairs, batch = _batched_pairs(grid)
+    pair, batch = _batched_pairs(grid)
 
     discounts, stages = [], []
     scree = np.empty(grid.p_max)
@@ -231,12 +239,12 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     for m in range(1, grid.p_max + 1):
         ll = predictive_loglik(forward_filter(f_prev[m:], b_prev[:len(x) - m],
                                               prior, batch)).ravel()
-        _require_finite(ll, pairs, m)
+        _require_finite(ll, pair, m)
         best = int(np.argmax(ll))
         scree[m - 1] = ll[best]
-        discounts.append(pairs[best])
+        discounts.append(pair(best))
         if m < grid.p_max:
-            stages.append(run_stage(f_prev, b_prev, m, pairs[best], prior))
+            stages.append(run_stage(f_prev, b_prev, m, discounts[-1], prior))
             f_prev, b_prev = stages[-1].f_next, stages[-1].b_next
 
     order = select_order(scree, tau)
@@ -262,19 +270,21 @@ def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     density is the model's data density.
     """
     grid, x, prior = _search_inputs(x, grid, prior)
-    pairs, batch = _batched_pairs(grid)
+    pair, batch = _batched_pairs(grid)
 
-    scree = _causal_scree(x, pairs, batch, grid.p_max, prior)
-    orders = np.empty(len(pairs), dtype=int)
-    sats = np.empty(len(pairs), dtype=bool)
-    for g in range(len(pairs)):
+    scree = _causal_scree(x, pair, batch, grid.p_max, prior)
+    n_pairs = scree.shape[1]
+    orders = np.empty(n_pairs, dtype=int)
+    sats = np.empty(n_pairs, dtype=bool)
+    for g in range(n_pairs):
         o = select_order(scree[:, g], tau)
         sats[g] = o == grid.p_max
         orders[g] = _first_flattening(scree[:, g]) if sats[g] else o
-    joint = scree[orders - 1, np.arange(len(pairs))]
+    joint = scree[orders - 1, np.arange(n_pairs)]
     best = int(np.argmax(joint))
-    run = run_lattice(x, int(orders[best]), pairs[best], prior)
-    return _report("blffix", run, [pairs[best]] * grid.p_max, scree[:, best],
+    chosen = pair(best)
+    run = run_lattice(x, int(orders[best]), chosen, prior)
+    return _report("blffix", run, [chosen] * grid.p_max, scree[:, best],
                    bool(sats[best]))
 
 

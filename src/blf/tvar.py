@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dlm import backward_sample
+# backward_sample stays bound here: perfbench/spans.py wraps
+# tvar.backward_sample by name.
+from .dlm import _block_sampler, backward_sample  # noqa: F401
 from .lattice import LatticeRun, _is_count, filter_rows
 
 __all__ = ["TvarFit", "parcor_to_tvar", "assemble_fit", "path_sampler"]
@@ -111,48 +113,68 @@ def assemble_fit(run: LatticeRun, P: int) -> TvarFit:
     return TvarFit(coeffs=coeffs, sigma2=run.stages[P - 1].sf2.copy())
 
 
-# Bytes of forward and backward stage rows per time block of a draw's
-# Levinson pass, 16 P per (draw, t): 170 steps at 64 draws and P = 6.
-_BLOCK_BYTES = 1 << 20
+# Bytes of a draw's two stage-major buffers, 16 P per (draw, t) of a time
+# block: one block of 1024 steps at 64 draws and P = 2, blocks of 315 or
+# 316 steps at P = 6.
+_BLOCK_BYTES = 2 << 20
 
 
 def path_sampler(run: LatticeRun, P: int):
     """Joint posterior path sampler over the first P stages of a run.
 
-    Returns a callable ``draw(rng, size)`` producing ``(coeffs, sigma2)``
-    with shapes ``(size, T, P)`` and ``(size, T)``: per draw, one joint
+    Returns a generator function ``draw(rng, size)`` that yields time
+    blocks ``(start, coeffs, sigma2)`` from the last block back to the first:
+    ``coeffs`` of shape (size, B, P) and ``sigma2`` of shape (size, B) hold
+    times start + 1 .. start + B of ``size`` joint draws, each one joint
     PARCOR path per stage (plus the stage-P forward variance path) mapped
     through the Levinson recursion.  Each filter's rows are placed on the
     times 1..T as the smoothed stage paths are, by
     :func:`blf.lattice.filter_rows`.  Used for posterior spectral surfaces.
 
-    A draw gathers the stage paths into two stage-major buffers of shape
-    (P, T, size), forward and backward, and runs the recursion in place
-    over blocks of time steps whose rows in both hold about
-    ``_BLOCK_BYTES`` (1 MiB).  ``coeffs`` is the forward buffer seen as
-    (size, T, P), a transposed view, not a contiguous copy; ``sigma2`` is
-    a transposed (T, size) array.  A stage's paths are freed once they are
-    in the buffers, so beside the two buffers a draw holds at most six
-    (T + 1, size) rows of sampler output and temporaries.
+    The T steps are split into equal blocks, as few as keep a block's two
+    stage-major (P, B, size) buffers, forward and backward, within
+    ``_BLOCK_BYTES`` (2 MiB).  For each block every one of the 2P
+    regressions, in stage order and forward before backward, draws the
+    rows the block needs and carries one row of each recursion to the next,
+    earlier block; then the Levinson recursion runs in place on the
+    buffers.  ``coeffs`` is the forward buffer seen as (size, B, P), a
+    transposed view that the next block overwrites, so a caller uses each
+    block before it asks for the next; ``sigma2`` is a transposed (B, size)
+    array.  Memory is the two buffers and a few (B + 1, size) rows of
+    sampler output and temporaries, whatever T is.
+
+    A draw that fits one block (every ``blf fit --draws`` chunk of 64 draws
+    at P = 2 and T = 1024) makes its generator calls as
+    :func:`blf.dlm.backward_sample` would, one regression after another,
+    and gives the bits of whole-path draws.  With more blocks the
+    regressions' draws interleave block by block, so the same generator
+    gives other draws from the same posterior.
     """
     _check_order(run, P)
     T = len(run.x)
-    stages = run.stages[:P]
+    # The 2P regressions in draw order, each with its filter row per time.
+    regressions = [(fs, rows) for st in run.stages[:P]
+                   for fs, rows in zip((st.filter_f, st.filter_b), filter_rows(T, st.m))]
 
     def draw(rng: np.random.Generator, size: int):
-        a = np.empty((P, T, size))
-        d = np.empty((P, T, size))
-        for j, st in enumerate(stages):
-            rows_f, rows_b = filter_rows(T, st.m)
-            th, s2 = backward_sample(st.filter_f, rng, size=size)
-            np.take(th, rows_f, axis=0, out=a[j])
-            del th
-            np.take(backward_sample(st.filter_b, rng, size=size)[0], rows_b,
-                    axis=0, out=d[j])
-        sigma2 = s2[rows_f].T  # the stage-P forward variance path
-        step = max(1, _BLOCK_BYTES // (16 * P * max(size, 1)))
-        for t in range(0, T, step):
-            _levinson(a[:, t:t + step], d[:, t:t + step])
-        return a.transpose(2, 1, 0), sigma2
+        n = -(-T // max(1, _BLOCK_BYTES // (16 * P * max(size, 1))))
+        edges = [T * i // n for i in range(n + 1)]
+        samplers = [(_block_sampler(fs, rng, size), rows) for fs, rows in regressions]
+        # buf[0] holds the forward paths and buf[1] the backward, stage-major.
+        buf = np.empty((2, P, -(-T // n), size))
+        for i in range(n - 1, -1, -1):
+            times = slice(edges[i], edges[i + 1])
+            a, d = buf[:, :, :times.stop - times.start]
+            for k, (sampler, rows) in enumerate(samplers):
+                # The first block draws down to row 0, as backward_sample
+                # does, although no time takes the backward filter's row 0.
+                lo = rows[times.start] if i else 0
+                path, s2 = sampler(lo)
+                np.take(path, rows[times] - lo, axis=0, out=(a, d)[k % 2][k // 2])
+                if k == 2 * P - 2:  # the stage-P forward variance path
+                    sigma2 = s2[rows[times] - lo].T
+            del path, s2
+            _levinson(a, d)
+            yield times.start, a.transpose(2, 1, 0), sigma2
 
     return draw

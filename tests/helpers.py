@@ -105,7 +105,7 @@ def unblocked_posterior(draw_paths, n_draws, freqs, rng, chunk=64):
     mean_log = m2 = 0.0
     while total < n_draws:
         size = min(chunk, n_draws - total)
-        coeffs, sigma2 = draw_paths(rng, size)
+        coeffs, sigma2 = whole_paths(draw_paths, rng, size)
         with np.errstate(divide="ignore"):
             logs = np.log(sigma2)[..., None] - np.log(_transfer_power(coeffs, freqs))
         dev = logs - logs[0]
@@ -117,3 +117,50 @@ def unblocked_posterior(draw_paths, n_draws, freqs, rng, chunk=64):
         m2 = m2 + cm2 + delta**2 * (total * size / (total + size))
         total += size
     return np.exp(mean_log), np.sqrt(m2 / (total - 1))
+
+
+def whole_paths(draw, rng, size):
+    """One chunk of ``draw``'s time blocks, copied (a sampler may reuse its
+    buffers) and joined in time order: (size, T, P) coefficient and
+    (size, T) variance paths."""
+    blocks = [(c.copy(), s.copy()) for _, c, s in draw(rng, size)][::-1]
+    return (np.concatenate([c for c, _ in blocks], axis=1),
+            np.concatenate([s for _, s in blocks], axis=1))
+
+
+def time_blocks(coeffs, sigma2, n_blocks=1):
+    """Whole (size, T, P) and (size, T) paths in the draw protocol of
+    ``spectrum_posterior``: ``n_blocks`` equal time blocks
+    (start, coeffs, sigma2), the last block first."""
+    T = coeffs.shape[1]
+    edges = [T * i // n_blocks for i in range(n_blocks + 1)]
+    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+        yield lo, coeffs[:, lo:hi], sigma2[:, lo:hi]
+
+
+def sequential_block_draw(fs, rng, size, lows):
+    """The split joint path draw of ``dlm._block_sampler`` one step at a
+    time: for each ``lo`` of ``lows``, 1/sigma_n^2 first (first block
+    only), the block's precision shocks newest row first, theta_n's normal
+    (first block only), then the block's normals; each recursion steps back
+    from the row the previous block ended on.  Returns whole (n + 1, size)
+    theta and sigma^2 paths."""
+    gamma, delta = float(fs.gamma), float(fs.delta)
+    n = len(fs.mu) - 1
+    prec = np.empty((n + 1, size))
+    theta = np.empty((n + 1, size))
+    hi = n
+    for lo in lows:
+        if hi == n:
+            prec[n] = rng.gamma(fs.v[n] / 2.0, 2.0 / fs.kappa[n], size=size)
+        shocks = [rng.gamma((1.0 - delta) * fs.v[t] / 2.0, 2.0 / fs.kappa[t], size=size)
+                  for t in range(hi - 1, lo - 1, -1)]
+        if hi == n:
+            theta[n] = fs.mu[n] + np.sqrt(1.0 / prec[n] / fs.P[n]) * rng.standard_normal(size)
+        z = rng.standard_normal((hi - lo, size)) if gamma < 1.0 else np.zeros((hi - lo, size))
+        for j, t in enumerate(range(hi - 1, lo - 1, -1)):
+            prec[t] = delta * prec[t + 1] + shocks[j]
+            sd = np.sqrt((1.0 - gamma) / fs.P[t] / prec[t])
+            theta[t] = gamma * theta[t + 1] + (1.0 - gamma) * fs.mu[t] + sd * z[j]
+        hi = lo
+    return theta, 1.0 / prec

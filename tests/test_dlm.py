@@ -9,6 +9,7 @@ from blf.dlm import (
     DiscountPair,
     NIGPrior,
     _backward,
+    _block_sampler,
     _scan,
     backward_sample,
     backward_smooth,
@@ -17,7 +18,12 @@ from blf.dlm import (
     predictive_loglik,
 )
 
-from helpers import covariance_filter, readouts, static_nig_posterior
+from helpers import (
+    covariance_filter,
+    readouts,
+    sequential_block_draw,
+    static_nig_posterior,
+)
 
 STATIC = DiscountPair(1.0, 1.0)
 
@@ -302,6 +308,38 @@ class TestBackwardSample:
         prec = 1.0 / sigma2
         z_prec = (prec.mean(axis=1) - 1.0 / sm.s) / (prec.std(axis=1) / np.sqrt(n))
         assert np.max(np.abs(z_prec)) < 3.0
+
+
+    @pytest.mark.parametrize("d, lows", [
+        (DiscountPair(0.95, 0.9), [0]),
+        (DiscountPair(0.95, 0.9), [37, 36, 10, 0]),
+        (DiscountPair(0.8, 1.0), [50, 25, 0]),      # delta = 1: no shocks drawn
+        (DiscountPair(1.0, 0.95), [40, 40, 5, 0]),  # gamma = 1; an empty block
+    ])
+    def test_blocks_carry_one_row(self, d, lows):
+        """Blocks of rows drawn back from row n, each recursion starting from
+        the row the previous block ended on, follow a step-by-step loop in the
+        same generator order (to rounding) and leave the generator where it
+        does; one block is backward_sample."""
+        rng = np.random.default_rng(14)
+        fs = forward_filter(rng.normal(size=60), rng.normal(size=60), NIGPrior(), d)
+        gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+        rows = _block_sampler(fs, gen, 7)
+        hi, theta, sigma2 = 60, np.empty((61, 7)), np.empty((61, 7))
+        for lo in lows:
+            th, s2 = rows(lo)
+            assert th.shape == s2.shape == (hi - lo + 1, 7)
+            if hi < 60:  # the carried row is returned unchanged
+                assert np.array_equal(th[-1], theta[hi]) and np.array_equal(s2[-1], sigma2[hi])
+            theta[lo:hi + 1], sigma2[lo:hi + 1] = th, s2
+            hi = lo
+        ref_theta, ref_sigma2 = sequential_block_draw(fs, ref_gen, 7, lows)
+        np.testing.assert_allclose(theta, ref_theta, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(sigma2, ref_sigma2, rtol=1e-12)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        if lows == [0]:
+            whole = backward_sample(fs, np.random.default_rng(5), 7)
+            assert np.array_equal(whole[0], theta) and np.array_equal(whole[1], sigma2)
 
 
 def loop_scan(a, b, first):

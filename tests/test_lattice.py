@@ -7,7 +7,7 @@ from blf.dlm import DiscountPair, NIGPrior, backward_smooth, default_prior
 from blf.lattice import run_lattice, run_stage
 from blf.simulate import gen_tvar2
 from blf.tvar import path_sampler
-from helpers import readouts
+from helpers import readouts, whole_paths
 
 
 def ar1_series(phi, T, seed, burn=200):
@@ -142,7 +142,7 @@ class TestRunLattice:
         x = np.random.default_rng(13).normal(size=40)
         P = 3
         run = run_lattice(x, P, DiscountPair(0.9, 0.9), NIGPrior())
-        coeffs, sigma2 = path_sampler(run, P)(np.random.default_rng(1), 5)
+        coeffs, sigma2 = whole_paths(path_sampler(run, P), np.random.default_rng(1), 5)
         for path in (coeffs[:, :, P - 1], sigma2):
             assert np.all(path[:, :P] == path[:, [P - 1]])
             assert np.all(path[:, P] != path[:, P - 1])

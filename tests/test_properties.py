@@ -39,6 +39,7 @@ from blf.selection import SearchGrid, fit_blfdyn, fit_blffix, fit_fixed  # noqa:
 from blf.simulate import gen_tvar2, gen_tvar6  # noqa: E402
 from blf.spectrum import Spectrogram, default_freq_grid  # noqa: E402
 from blf.tvar import TvarFit, path_sampler  # noqa: E402
+from helpers import whole_paths  # noqa: E402
 
 GRID = SearchGrid(gammas=(0.9, 0.95, 1.0), deltas=(0.9, 0.95, 1.0), p_max=4)
 PAIRS = [DiscountPair(0.95, 1.0), DiscountPair(1.0, 1.0), DiscountPair(1.0, 0.9),
@@ -58,7 +59,7 @@ series = st.builds(lambda gen, T, seed: gen(T, seed=seed).x,
 def _fixed(x, d, order):
     """PARCOR paths, sigma^2 and 8 joint posterior draws of a fixed fit."""
     rep = fit_fixed(x, d, order)
-    coeffs, sigma2 = path_sampler(rep.run, order)(np.random.default_rng(0), 8)
+    coeffs, sigma2 = whole_paths(path_sampler(rep.run, order), np.random.default_rng(0), 8)
     alpha = np.array([stage.alpha for stage in rep.run.stages])
     beta = np.array([stage.beta for stage in rep.run.stages])
     return rep, alpha, beta, coeffs, sigma2

@@ -1,5 +1,6 @@
 """Spectral density, ASE scoring, and posterior surface tests."""
 
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -7,9 +8,10 @@ import weakref
 import numpy as np
 import pytest
 
-from blf import spectrum
+from blf import spectrum, tvar
 from blf.dlm import DiscountPair, default_prior
 from blf.lattice import run_lattice
+from blf.simulate import gen_tvar6
 from blf.spectrum import (
     Spectrogram,
     _transfer_power,
@@ -19,7 +21,7 @@ from blf.spectrum import (
     tvar_spectrum,
 )
 from blf.tvar import TvarFit, path_sampler
-from helpers import classical_levinson, unblocked_posterior
+from helpers import classical_levinson, time_blocks, unblocked_posterior
 
 BAD_GRIDS = [
     ([0.0, np.nan, 0.3], "finite, got nan at index 1"),
@@ -211,8 +213,8 @@ class TestSpectrumPosterior:
         sigma2 = np.ones(20)
 
         def draw(rng, size):
-            return (np.repeat(coeffs[None], size, axis=0),
-                    np.repeat(sigma2[None], size, axis=0))
+            return time_blocks(np.repeat(coeffs[None], size, axis=0),
+                               np.repeat(sigma2[None], size, axis=0))
 
         mean, sd = spectrum_posterior(draw, 64, default_freq_grid(),
                                       np.random.default_rng(0))
@@ -227,7 +229,7 @@ class TestSpectrumPosterior:
         coeffs, sigma2 = np.ones((64, 20, 1)), np.ones((64, 20))
 
         def draw(rng, size):
-            return coeffs[:size], sigma2[:size]
+            return time_blocks(coeffs[:size], sigma2[:size])
 
         with pytest.raises(ValueError, match=r"density at t=1, freq=0\.0$"):
             spectrum_posterior(draw, 130, default_freq_grid(), np.random.default_rng(0))
@@ -242,11 +244,35 @@ class TestSpectrumPosterior:
         def draw(rng, size):
             lo = made[0]
             made[0] += size
-            return coeffs[lo:lo + size], sigma2[lo:lo + size]
+            return time_blocks(coeffs[lo:lo + size], sigma2[lo:lo + size])
 
         with pytest.raises(ValueError, match=r"density at t=5, freq=0\.0$"):
             spectrum_posterior(draw, 130, default_freq_grid(), np.random.default_rng(0))
         assert made[0] == 128  # refused in the second chunk, before the third
+
+    @pytest.mark.parametrize("bad_t, named", [((15,), 15), ((15, 5), 5), ((5, 15), 5)])
+    def test_unit_root_in_a_late_block_names_the_earliest_cell(self, bad_t, named):
+        """Blocks arrive last first, so a unit root at t=15 (second block,
+        drawn first) is seen before one at t=5; the earliest is named."""
+        coeffs = np.random.default_rng(4).uniform(-0.3, 0.3, size=(64, 20, 2))
+        for i, t in enumerate(bad_t):
+            coeffs[10 * i + 3, t - 1] = [1.0, 0.0]
+        sigma2 = np.ones((64, 20))
+
+        def draw(rng, size):
+            return time_blocks(coeffs[:size], sigma2[:size], 2)
+
+        with pytest.raises(ValueError, match=rf"density at t={named}, freq=0\.0$"):
+            spectrum_posterior(draw, 64, default_freq_grid(), np.random.default_rng(0))
+
+    def test_rejects_blocks_out_of_time_order(self):
+        coeffs, sigma2 = np.zeros((4, 20, 2)), np.ones((4, 20))
+
+        def draw(rng, size):
+            return reversed(list(time_blocks(coeffs[:size], sigma2[:size], 2)))
+
+        with pytest.raises(ValueError, match="from the last back to the first"):
+            spectrum_posterior(draw, 4, default_freq_grid())
 
     def test_white_noise_fit_sd_flat_over_frequency(self):
         rng = np.random.default_rng(25)
@@ -279,6 +305,18 @@ class TestSpectrumPosterior:
         with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
             spectrum_posterior(draw, 10, chunk=chunk)
 
+    @pytest.mark.parametrize("counts, name", [
+        ({"n_draws": 2.5}, "n_draws=2.5"), ({"n_draws": True}, "n_draws=True"),
+        ({"chunk": 2.5}, "chunk=2.5"), ({"chunk": True}, "chunk=True"),
+    ])
+    def test_rejects_non_integer_counts_before_drawing(self, counts, name):
+        def draw(rng, size):
+            raise AssertionError("no draw may be made")
+
+        args = {"n_draws": 10, **counts}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            spectrum_posterior(draw, freqs=default_freq_grid(), **args)
+
     @pytest.mark.parametrize("freqs, match", BAD_GRIDS)
     def test_rejects_bad_grid_before_drawing(self, freqs, match):
         def draw(rng, size):
@@ -293,17 +331,18 @@ class TestSpectrumPosterior:
 
 
 def random_draws(T, P=3):
+    """Uniform paths drawn whole, yielded as one time block."""
     def draw(rng, size):
-        return (rng.uniform(-0.3, 0.3, size=(size, T, P)),
-                rng.uniform(0.5, 2.0, size=(size, T)))
+        return time_blocks(rng.uniform(-0.3, 0.3, size=(size, T, P)),
+                           rng.uniform(0.5, 2.0, size=(size, T)))
     return draw
 
 
 def constant_draws(T, draws=64):
-    """Constant coefficient paths, made once; each call returns views."""
+    """Constant coefficient paths, made once; each call yields views."""
     coeffs = np.tile([0.5, -0.3], (draws, T, 1))
     sigma2 = np.ones((draws, T))
-    return lambda rng, size: (coeffs[:size], sigma2[:size])
+    return lambda rng, size: time_blocks(coeffs[:size], sigma2[:size])
 
 
 class TestTimeBlocks:
@@ -333,17 +372,20 @@ class TestTimeBlocks:
         assert 16 * 64 * 5000 > spectrum._BLOCK_BYTES
 
     def test_frees_each_chunk_of_paths_before_the_next_draw(self):
-        """Two chunks of sampler paths are never alive at once."""
+        """Two blocks of sampler paths, of one chunk or of two, are never
+        alive at once."""
         drawn = []
 
         def draw(rng, size):
-            assert all(ref() is None for ref in drawn)
-            coeffs = np.full((size, 8, 2), 0.1)
-            drawn.append(weakref.ref(coeffs))
-            return coeffs, np.ones((size, 8))
+            for start in (4, 0):
+                assert all(ref() is None for ref in drawn)
+                coeffs = np.full((size, 4, 2), 0.1)
+                drawn.append(weakref.ref(coeffs))
+                yield start, coeffs, np.ones((size, 4))
+                del coeffs
 
         spectrum_posterior(draw, 200, default_freq_grid(0.05), np.random.default_rng(0))
-        assert len(drawn) == 4
+        assert len(drawn) == 8
 
     @pytest.mark.parametrize("T", [512, 4096])
     def test_density_memory_is_bounded(self, T):
@@ -359,3 +401,66 @@ class TestTimeBlocks:
         finally:
             tracemalloc.stop()
         assert peak - 2 * T * len(freqs) * 8 < 4 * spectrum._BLOCK_BYTES
+
+    @pytest.mark.parametrize("budget", [None, 100_000])
+    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, budget):
+        """One thread, two, and more threads than pieces per block give the
+        bits of the unblocked oracle over the same draws, with one block per
+        chunk (the default budget at T=300, P=3) and with blocks of 30
+        steps, three pieces each.  A short switch interval makes the threads
+        interleave often, so a lost update to the moments would show."""
+        if budget is not None:
+            monkeypatch.setattr(tvar, "_BLOCK_BYTES", budget)
+        x = np.random.default_rng(27).normal(size=300)
+        run = run_lattice(x, 3, DiscountPair(0.95, 0.9), default_prior(x))
+        draw = path_sampler(run, 3)
+        freqs = default_freq_grid()
+        ref_mean, ref_sd = unblocked_posterior(draw, 130, freqs, np.random.default_rng(8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(spectrum, "_workers", lambda: workers)
+                mean, sd = spectrum_posterior(draw, 130, freqs, np.random.default_rng(8))
+                assert np.array_equal(mean.values, ref_mean)
+                assert np.array_equal(sd.values, ref_sd)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_stream_agrees_with_one_block_stream(self, monkeypatch):
+        """Draws in 12 blocks of 10 steps and in one block are two streams
+        from one posterior: the mean and sd of log S agree within Monte
+        Carlo error, measured in sd/sqrt(n).  The sd's own error is larger
+        than sd/sqrt(2n) here, because log S has heavy tails."""
+        x = np.random.default_rng(28).normal(size=120)
+        run = run_lattice(x, 2, DiscountPair(0.95, 0.95), default_prior(x))
+        draw = path_sampler(run, 2)
+        freqs, n = default_freq_grid(0.02), 2000
+        m1, s1 = spectrum_posterior(draw, n, freqs, np.random.default_rng(2))
+        monkeypatch.setattr(tvar, "_BLOCK_BYTES", 16 * 2 * 64 * 10)
+        m2, s2 = spectrum_posterior(draw, n, freqs, np.random.default_rng(3))
+        slack = 3.0 * np.sqrt(np.log(m1.values.size))  # union bound
+        var = s1.values**2 + s2.values**2
+        z_mean = (np.log(m1.values) - np.log(m2.values)) / np.sqrt(var / n)
+        z_sd = (s1.values - s2.values) / np.sqrt(var / n)
+        assert np.max(np.abs(z_mean)) < slack
+        assert np.max(np.abs(z_sd)) < slack
+
+    @pytest.mark.parametrize("T", [4096, 16384])
+    def test_posterior_memory_is_bounded(self, T):
+        """256 draws of an order-6 fit: the traced peak beyond the two (T, L)
+        outputs stays within twice the block budgets, the sampler's two
+        buffers and one density work array per thread, whatever T is.
+        Whole (P, T, chunk) sampler buffers took 43.5 MiB at T=4096."""
+        x = gen_tvar6(T, seed=0).x
+        run = run_lattice(x, 6, DiscountPair(0.98, 0.98), default_prior(x))
+        draw = path_sampler(run, 6)
+        freqs = default_freq_grid(0.025)
+        tracemalloc.start()
+        try:
+            spectrum_posterior(draw, 256, freqs, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = tvar._BLOCK_BYTES + spectrum._workers() * spectrum._BLOCK_BYTES
+        assert peak - 2 * T * len(freqs) * 8 < 2 * budget

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from blf import tvar
-from blf.dlm import DiscountPair, backward_sample, default_prior
+from blf.dlm import DiscountPair, _block_sampler, backward_sample, default_prior
 from blf.lattice import filter_rows, run_lattice
 from blf.simulate import gen_tvar2, gen_tvar6
 from blf.tvar import assemble_fit, parcor_to_tvar, path_sampler
-from helpers import classical_levinson, levinson_out_of_place
+from helpers import classical_levinson, levinson_out_of_place, whole_paths
 
 
 class TestParcorToTvar:
@@ -138,34 +138,79 @@ def stacked_draw(run, P, rng, size):
     return coeffs, s2_f[rows_f].T
 
 
+def block_stacked_draw(run, P, rng, size, n_blocks):
+    """The same through the block stream: for each of ``n_blocks`` equal
+    time blocks, last first, each regression (stage order, forward before
+    backward) draws the rows the block needs, down to row 0 for the first
+    block; the rows are gathered into whole per-regression paths, placed
+    by ``filter_rows`` and mapped by ``parcor_to_tvar`` on whole grids."""
+    T = len(run.x)
+    edges = [T * i // n_blocks for i in range(n_blocks + 1)]
+    regs = [(fs, rows) for st in run.stages[:P]
+            for fs, rows in zip((st.filter_f, st.filter_b), filter_rows(T, st.m))]
+    samplers = [_block_sampler(fs, rng, size) for fs, _ in regs]
+    paths = [(np.empty((len(fs.mu), size)), np.empty((len(fs.mu), size)))
+             for fs, _ in regs]
+    for i in range(n_blocks - 1, -1, -1):
+        for (_, rows), sampler, (th, s2) in zip(regs, samplers, paths):
+            lo = rows[edges[i]] if i else 0
+            th_blk, s2_blk = sampler(lo)
+            th[lo:lo + len(th_blk)], s2[lo:lo + len(s2_blk)] = th_blk, s2_blk
+    grids = [th[rows].T for (_, rows), (th, _) in zip(regs, paths)]
+    coeffs, _ = parcor_to_tvar(np.stack(grids[0::2], axis=-1),
+                               np.stack(grids[1::2], axis=-1))
+    (_, rows_f), (_, s2_f) = regs[-2], paths[-2]  # stage P's forward regression
+    return coeffs, s2_f[rows_f].T
+
+
 class TestPathSampler:
     @pytest.mark.parametrize("P, T, size, budget", [
-        (1, 301, 5, 1000),   # blocks of 12 steps, the last of 1
-        (2, 301, 5, 1000),   # blocks of 6, the last of 1
-        (6, 301, 5, 1000),   # blocks of 2, the last of 1
-        (6, 8, 3, None),     # stage 6 has T - m = 2 regression steps
-        (6, 1000, 64, None),  # the default budget: blocks of 170, the last of 150
+        (1, 301, 5, 1000),   # 26 blocks of 11 or 12 steps
+        (2, 301, 5, 1000),   # 51 blocks of 5 or 6
+        (6, 301, 5, 1000),   # 151 blocks of 1 or 2
+        (6, 8, 3, None),     # one block; stage 6 has T - m = 2 regression steps
+        (6, 1000, 64, None),  # the default budget: 3 blocks of 333 or 334
     ])
     def test_equals_stacked_levinson_bitwise(self, monkeypatch, P, T, size, budget):
-        """Stage-major buffers run in place over time blocks give the bits
-        and the generator stream of whole (size, T, P) grids."""
+        """Stage-major block buffers run in place give the bits and the
+        generator stream of the block sampler's rows gathered into whole
+        (size, T, P) grids."""
         if budget is not None:
             monkeypatch.setattr(tvar, "_BLOCK_BYTES", budget)
+        n_blocks = -(-T // max(1, tvar._BLOCK_BYTES // (16 * P * size)))
         x = np.random.default_rng(T + P).normal(size=T)
         run = run_lattice(x, P, DiscountPair(0.95, 0.9), default_prior(x))
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(2):
-            coeffs, sigma2 = path_sampler(run, P)(rng, size)
-            ref_coeffs, ref_sigma2 = stacked_draw(run, P, ref_rng, size)
+            coeffs, sigma2 = whole_paths(path_sampler(run, P), rng, size)
+            ref_coeffs, ref_sigma2 = block_stacked_draw(run, P, ref_rng, size, n_blocks)
             assert coeffs.shape == (size, T, P) and sigma2.shape == (size, T)
             assert np.array_equal(coeffs, ref_coeffs)
             assert np.array_equal(sigma2, ref_sigma2)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("P, T, size", [
+        (1, 301, 5), (6, 8, 3),
+        (2, 1024, 64),  # blf fit --draws on a T=1024 series: exactly the budget
+    ])
+    def test_one_block_is_whole_path_draws(self, P, T, size):
+        """A draw within one block is a single block, and it gives the bits
+        and the generator stream of backward_sample's whole paths."""
+        x = np.random.default_rng(T + P).normal(size=T)
+        run = run_lattice(x, P, DiscountPair(0.95, 0.9), default_prior(x))
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):
+            blocks = list(path_sampler(run, P)(rng, size))
+            ref_coeffs, ref_sigma2 = stacked_draw(run, P, ref_rng, size)
+            assert len(blocks) == 1 and blocks[0][0] == 0
+            assert np.array_equal(blocks[0][1], ref_coeffs)
+            assert np.array_equal(blocks[0][2], ref_sigma2)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_zero_draws_give_empty_paths(self):
         x = np.random.default_rng(22).normal(size=50)
         run = run_lattice(x, 2, DiscountPair(0.9, 0.9), default_prior(x))
-        coeffs, sigma2 = path_sampler(run, 2)(np.random.default_rng(0), 0)
+        coeffs, sigma2 = whole_paths(path_sampler(run, 2), np.random.default_rng(0), 0)
         assert coeffs.shape == (0, 50, 2) and sigma2.shape == (0, 50)
 
     @pytest.mark.parametrize("P", [2.5, True, "2"])
@@ -176,19 +221,20 @@ class TestPathSampler:
             path_sampler(run, P)
 
     def test_draw_memory_is_bounded(self):
-        """The traced peak of one 64-draw call at T=4096, P=6 stays within
-        two (P, T + 1, size) buffers and ten (T + 1, size) rows, 44.0 MiB.
-        The draw holds its two buffers and at most six rows of sampler
-        output and temporaries (36.1 MiB); whole (size, T, P) grids with
-        out-of-place Levinson temporaries took 94.1 MiB."""
+        """The traced peak of one 64-draw call at T=4096, P=6, run through
+        all of its 13 blocks, stays within two block budgets: the two
+        stage-major buffers (2 MiB) and a few rows of one block.  A call
+        that held whole (P, T, size) buffers and one stage's sampler rows
+        took 36.1 MiB, and whole (size, T, P) grids 94.1 MiB."""
         T, P, size = 4096, 6, 64
         x = gen_tvar6(T, seed=0).x
         run = run_lattice(x, P, DiscountPair(0.98, 0.98), default_prior(x))
         draw = path_sampler(run, P)
         tracemalloc.start()
         try:
-            draw(np.random.default_rng(0), size)
+            blocks = sum(1 for _ in draw(np.random.default_rng(0), size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (T + 1) * size * (2 * P + 10)
+        assert blocks == 13
+        assert peak < 2 * tvar._BLOCK_BYTES
