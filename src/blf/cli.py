@@ -41,11 +41,19 @@ from .tvar import path_sampler
 
 def _grid_from_args(args) -> SearchGrid:
     lo, hi, step = args.grid_min, args.grid_max, args.grid_step
-    if not (0 < lo <= hi <= 1 and step > 0):
+    if not (0 < lo <= hi <= 1 and 0 < step < np.inf):
         raise ValueError("grid bounds must satisfy 0 < min <= max <= 1 with step > 0")
     vals = np.round(np.arange(lo, hi + step / 2, step), 10)
     vals = tuple(vals[vals <= hi])  # the half step of slack can overshoot max
     return SearchGrid(gammas=vals, deltas=vals, p_max=args.p_max)
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The random generator of ``--seed``; a seed numpy refuses is named."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError as exc:
+        raise ValueError(f"--seed {seed}: {exc}") from None
 
 
 def _prior_flags(args) -> dict:
@@ -80,12 +88,12 @@ def _add_prior_args(p) -> None:
 
 
 def cmd_simulate(args) -> int:
+    freqs = default_freq_grid(args.freq_step)
+    proc = GENERATORS[args.process](args.T, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    proc = GENERATORS[args.process](args.T, seed=args.seed)
     write_series_csv(out / "series.csv", proc.x)
     write_truth_csv(out / "truth.csv", proc.true_coeffs, proc.true_sigma2)
-    freqs = default_freq_grid(args.freq_step)
     write_spectrogram_csv(out / "truth_spectrogram.csv", true_spectrum(proc, freqs))
     print(f"wrote series.csv, truth.csv, truth_spectrogram.csv to {out}")
     return 0
@@ -99,6 +107,8 @@ def cmd_fit(args) -> int:
     if args.method != "fixed" and given:
         raise ValueError(f"--{given[0]} applies only to --method fixed; --method "
                          f"{args.method} selects the order and discounts itself")
+    freqs = default_freq_grid(args.freq_step)
+    rng = _generator(args.seed)
     x = read_series_csv(args.input)
     grid = _grid_from_args(args)
     prior = replace(default_prior(x), **_prior_flags(args))
@@ -118,11 +128,9 @@ def cmd_fit(args) -> int:
     write_report(out / "report.txt", report, args.tau)
     write_fit_csv(out / "coefficients.csv", out / "variance.csv", report.fit)
     write_scree_csv(out / "scree.csv", report)
-    freqs = default_freq_grid(args.freq_step)
     write_spectrogram_csv(out / "spectrogram.csv", tvar_spectrum(report.fit, freqs))
 
     if args.draws > 0:
-        rng = np.random.default_rng(args.seed)
         draw = path_sampler(report.run, report.chosen_order)
         mean, sd = spectrum_posterior(draw, args.draws, freqs, rng)
         write_spectrogram_csv(out / "posterior_mean.csv", mean)

@@ -19,8 +19,9 @@ on, so grid-shaped discounts such as ``gamma[:, None]`` and
 ``delta[None, :]`` make a discount-grid search cheap: the coefficient
 recurrences run once per gamma, the degrees of freedom once per delta.
 
-Every recurrence runs through one doubling kernel, ``_scan``: the forward
-filter's P, mu, v and kappa forwards in time, the smoother's and the
+Every recurrence has a coefficient that is constant in time (gamma, delta
+or gamma^2) and runs through one doubling kernel, ``_scan``: the forward
+filter's P, h = P mu, v and kappa forwards in time, the smoother's and the
 sampler's backwards on time-reversed views.  Every step learns: a
 regression observes only the steps it has.
 """
@@ -172,19 +173,21 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
         e_t     = y_t - mu_{t-1} x_t
         q_t     = s_{t-1} g_t
         P_t     = gamma P_{t-1} + x_t^2
-        mu_t    = mu_{t-1} / g_t + x_t y_t / P_t
+        h_t     = gamma h_{t-1} + x_t y_t,    mu_t = h_t / P_t
         v_t     = delta v_{t-1} + 1
         kappa_t = delta kappa_{t-1} + e_t^2 / g_t
 
-    from P_0 = s_0/c_0: the covariance form (r = c_{t-1}/gamma,
-    q_t = r x_t^2 + s_{t-1} = s_{t-1} g_t) rewritten on P = s/c with
-    s = kappa/v, where 1/g_t = gamma P_{t-1} / P_t.  The state keeps what
-    these recurrences produce, and none of the read-outs s, c and q.  All
-    four run through the doubling kernel ``_scan``, mu with the coefficient
-    1/g_t that varies in time.  Each recurrence runs at the broadcast width
-    of what it depends on: P, g, mu and e at that of the series and
-    ``gamma``, v at that of ``delta``, and only kappa at the full batch
-    width.
+    from P_0 = s_0/c_0 and h_0 = mu_0 P_0: the covariance form
+    (r = c_{t-1}/gamma, q_t = r x_t^2 + s_{t-1} = s_{t-1} g_t) rewritten on
+    P = s/c with s = kappa/v.  Its mean update
+    mu_t = mu_{t-1} / g_t + x_t y_t / P_t, with 1/g_t = gamma P_{t-1} / P_t,
+    is the recurrence of the discount-weighted numerator h = P mu, whose
+    coefficient is the constant gamma; row 0 of mu is mu_0 itself.  The
+    state keeps mu and none of h or the read-outs s, c and q.  All four
+    recurrences run through the doubling kernel ``_scan``.  Each runs at
+    the broadcast width of what it depends on: P, g, h, mu and e at that of
+    the series and ``gamma``, v at that of ``delta``, and only kappa at the
+    full batch width.
 
     Parameters
     ----------
@@ -222,7 +225,8 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
     xx = x * x
     P = _scan(gamma, xx, prior.kappa0 / prior.v0 / prior.c0)
     g = 1.0 + xx / (gamma * P[:-1])
-    mu = _scan(1.0 / g, x * y / P[1:], prior.mu0)
+    mu = _scan(gamma, x * y, prior.mu0 * P[0]) / P
+    mu[0] = prior.mu0
     v = _scan(delta, np.ones((n,) + (1,) * ndim), prior.v0)
     e = y - mu[:-1] * x
     kappa = _scan(delta, e * e / g, prior.kappa0)
@@ -231,42 +235,35 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
 
 
 def _scan(a, b: np.ndarray, first) -> np.ndarray:
-    """``y[0] = first``, then ``y[t+1] = a[t] y[t] + b[t]`` for
-    t = 0..len(b)-1.  ``a`` broadcasts against ``b``: its leading time axis
-    has length len(b) for a coefficient that varies in time, and length 1
-    or none for a constant one.  ``first`` broadcasts to one row of that.
+    """``y[0] = first``, then ``y[t+1] = a y[t] + b[t]`` for t = 0..len(b)-1,
+    with ``a`` the same at every step (a scalar or a row, broadcast against
+    the rows of ``b``, as is ``first``).
 
     A doubling scan (Hillis & Steele 1986; Blelloch 1990): the pass at
-    k = 1, 2, 4, ... adds row t-k to row t times the product of the k
-    coefficients a[t-k..t-1] between them, so after it row t holds the
-    weighted sum of the 2k inputs ending at t, and log2(n + 1) vectorized
-    passes replace the time loop.  ``c`` holds those products at the width
-    of ``a``, one per row the pass updates, and each pass doubles them,
-    multiplying each by the one k rows before it and keeping the rows the
-    next pass updates.  A constant's single row stands for every row, so it
-    is squared: a**k by repeated squaring.  Every element goes through the
-    same operations at any row width, so a batch column equals its scalar
-    run bit for bit.  Row t is final after the passes with k <= t, so the
-    first rows of a longer scan are the rows of a shorter one.
+    k = 1, 2, 4, ... adds ``a**k`` times row t-k to row t, so after it row t
+    holds the weighted sum of the 2k inputs ending at t, and log2(n + 1)
+    vectorized passes replace the time loop.  ``a**k`` is taken by repeated
+    squaring, and every element goes through the same operations at any row
+    width, so a batch column equals its scalar run bit for bit.  Row t is
+    final after the passes with k <= t, so the first rows of a longer scan
+    are the rows of a shorter one.
     """
-    y = np.empty((len(b) + 1,) + np.broadcast_shapes(np.shape(a), b.shape)[1:])
+    y = np.empty((len(b) + 1,) + np.broadcast_shapes(np.shape(a), b.shape[1:]))
     y[0] = first
     y[1:] = b
-    c = np.array(a, dtype=float, ndmin=b.ndim)
     term = np.empty_like(y)
     k = 1
     while k < len(y):
-        np.multiply(y[:-k], c, out=term[k:])
+        np.multiply(y[:-k], a, out=term[k:])
         y[k:] += term[k:]
-        c = c[min(k, len(c) - 1):] * c[:max(len(c) - k, 1)]
-        k *= 2
+        k, a = 2 * k, a * a
     return y
 
 
 def _backward(a, b: np.ndarray, last) -> np.ndarray:
-    """``y[n] = last``, then ``y[t] = a[t] y[t+1] + b[t]`` for t = n-1..0,
-    with ``a`` broadcast as in ``_scan``."""
-    return _scan(np.array(a, ndmin=b.ndim)[::-1], b[::-1], last)[::-1]
+    """``y[n] = last``, then ``y[t] = a y[t+1] + b[t]`` for t = n-1..0, with
+    ``a`` the same at every step, as in ``_scan``."""
+    return _scan(a, b[::-1], last)[::-1]
 
 
 def backward_smooth(fs: FilterState) -> SmoothState:

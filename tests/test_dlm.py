@@ -63,7 +63,8 @@ class TestForwardFilter:
         scale y/x: one many orders off it makes the problem ill-conditioned,
         and either form can then stray about 1e-10 from exact arithmetic.
         The last six problems are long (T = 1024 and 4096) and have exact
-        zeros in x, steps where the mean's scan coefficient 1/g_t is 1."""
+        zeros in x, steps where g_t = 1 and the numerator h = P mu and P
+        are only discounted, so mu is carried within rounding."""
         rng = np.random.default_rng(15)
         for i in range(246):
             T = int(rng.integers(1, 60)) if i < 240 else (1024, 4096)[i % 2]
@@ -359,20 +360,15 @@ class TestScanKernel:
     @pytest.mark.parametrize("width", [1, 11, 64, 121])
     def test_doubling_scan_matches_loop(self, n, width):
         """Forward and backward scans equal the step-by-step loop to 1e-13 on
-        the scale of the loop over |a| and |b|, for a = 1, for a = 0.8, for a
-        row of gamma^2, where a**k underflows to 0 at the long lengths, and
-        for an a that varies in time between about 1e-3 and exact 1s, as the
-        filter mean's 1/g_t does; b has mixed signs, so cancellation is
-        covered too."""
+        the scale of the loop over |a| and |b|, for a = 1, for a = 0.8 and
+        for a row of gamma^2, where a**k underflows to 0 at the long
+        lengths; b has mixed signs, so cancellation is covered too."""
         rng = np.random.default_rng(n * 1000 + width)
         gamma = np.linspace(0.8, 1.0, width)
         b = rng.normal(size=(n, width))
         first = rng.normal(size=width)
-        varying = 10.0 ** rng.uniform(-3.0, 0.0, size=(n, width))
-        varying[rng.random((n, width)) < 0.3] = 1.0
-        for a in (np.ones(width), np.full(width, 0.8), gamma**2, varying):
-            # a row or a time-varying array, or one scalar for all
-            arg = a if width > 1 or a.ndim == 2 else a[0]
+        for a in (np.ones(width), np.full(width, 0.8), gamma**2):
+            arg = a if width > 1 else a[0]  # a row, or one scalar for all
             steps = np.broadcast_to(a, (n, width))
             want = loop_scan(steps.tolist(), b.tolist(), first.tolist())
             scale = loop_scan(steps.tolist(), np.abs(b).tolist(),

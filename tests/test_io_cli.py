@@ -357,10 +357,28 @@ class TestCli:
     def test_fit_rejects_bad_freq_step(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
         write_series_csv(src, np.random.default_rng(49).normal(size=100))
+        out = tmp_path / "out"
         for step in ("0", "0.3"):
             assert main(["fit", str(src), "--method", "fixed", "--order", "1",
-                         "--freq-step", step, "--out-dir", str(tmp_path)]) == 1
+                         "--freq-step", step, "--out-dir", str(out)]) == 1
             assert "frequency step" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_fit_rejects_bad_seed_before_fitting(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_series_csv(src, np.random.default_rng(53).normal(size=60))
+        out = tmp_path / "out"
+        assert main(["fit", str(src), "--method", "fixed", "--order", "1",
+                     "--seed", "-1", "--draws", "4", "--out-dir", str(out)]) == 1
+        assert "error: --seed -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_rejects_bad_freq_step(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "tvar2", "--T", "64", "--freq-step", "0.3",
+                     "--out-dir", str(out)]) == 1
+        assert "frequency step" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("process", sorted(GENERATORS))
     def test_every_registered_process_runs(self, tmp_path, process):
@@ -379,14 +397,17 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert len(rows) == 2 and rows[1][5] == "ok"
 
-    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--methods", ","),
-                                             ("--tau", "nan")])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "0", "need n >= 1"), ("--methods", ",", "need n >= 1"),
+        ("--tau", "nan", "tau must be finite"),
+        ("--grid-step", "inf", "grid bounds must satisfy"),
+    ], ids=["--n-0", "--methods-,", "--tau-nan", "--grid-step-inf"])
     def test_benchmark_rejects_empty_or_futile_runs(self, tmp_path, capsys,
-                                                     flag, value):
+                                                     flag, value, message):
         out = tmp_path / "out"
         assert main(["benchmark", "tvar2", "--T", "64", flag, value,
                      "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
     def test_simulate_tvvar(self, tmp_path):
