@@ -88,6 +88,7 @@ def _add_prior_args(p) -> None:
 
 
 def cmd_simulate(args) -> int:
+    _generator(args.seed)  # refuses a seed numpy refuses, naming --seed
     freqs = default_freq_grid(args.freq_step)
     proc = GENERATORS[args.process](args.T, seed=args.seed)
     out = Path(args.out_dir)
@@ -143,6 +144,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    _generator(args.seed)  # replicate r uses seed + r, so the base seed decides
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     grid = _grid_from_args(args)
     given = _prior_flags(args)

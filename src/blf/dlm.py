@@ -24,6 +24,13 @@ or gamma^2) and runs through one doubling kernel, ``_scan``: the forward
 filter's P, h = P mu, v and kappa forwards in time, the smoother's and the
 sampler's backwards on time-reversed views.  Every step learns: a
 regression observes only the steps it has.
+
+A grid search reads only each pair's predictive log likelihood and the
+forecast errors, so it scores through ``_score``: the recurrences at the
+width of the series and the discounts run over the whole series as in the
+filter, and kappa and the Student-t density over blocks of rows within a
+fixed byte budget.  Only ``forward_filter``, which the lattice runs, stores
+kappa at the full batch width.
 """
 
 from __future__ import annotations
@@ -203,12 +210,23 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
     -------
     FilterState
     """
+    e, g, delta, P, mu, gamma = _forecasts(y, x, prior, d)
+    v = _scan(delta, np.ones((len(e),) + (1,) * delta.ndim), prior.v0)
+    kappa = _scan(delta, e * e / g, prior.kappa0)
+    return FilterState(mu=mu, P=P, v=v, kappa=kappa, e=e, g=g, gamma=gamma,
+                       delta=delta)
+
+
+def _forecasts(y, x, prior: NIGPrior, d: DiscountPair):
+    """The recurrences of :func:`forward_filter` that run at the width of
+    the series and ``gamma``: returns ``(e, g, delta, P, mu, gamma)``, the
+    discounts with one axis per batch axis.  The forecast errors ``e`` are
+    the same bits at any ``delta``."""
     y = _validate_series(y, "y")
     x = _validate_series(x, "x")
     if y.shape != x.shape:
         raise ValueError(f"y and x must have equal shape, got {y.shape} vs {x.shape}")
-    n = y.shape[0]
-    if n < 1:
+    if y.shape[0] < 1:
         raise ValueError("need at least one observation")
 
     gamma = np.asarray(d.gamma, dtype=float)
@@ -227,11 +245,8 @@ def forward_filter(y, x, prior: NIGPrior, d: DiscountPair) -> FilterState:
     g = 1.0 + xx / (gamma * P[:-1])
     mu = _scan(gamma, x * y, prior.mu0 * P[0]) / P
     mu[0] = prior.mu0
-    v = _scan(delta, np.ones((n,) + (1,) * ndim), prior.v0)
     e = y - mu[:-1] * x
-    kappa = _scan(delta, e * e / g, prior.kappa0)
-    return FilterState(mu=mu, P=P, v=v, kappa=kappa, e=e, g=g, gamma=gamma,
-                       delta=delta)
+    return e, g, delta, P, mu, gamma
 
 
 def _scan(a, b: np.ndarray, first) -> np.ndarray:
@@ -315,6 +330,11 @@ def _t_normalizer(v0: float, delta: float, size: int) -> np.ndarray:
     return out
 
 
+# Bytes of one block of rows at the full batch width in ``_score``: at most
+# two such blocks are alive at once.
+_BLOCK_BYTES = 128 << 10
+
+
 def _sum_steps(w: np.ndarray) -> np.ndarray:
     """Sum over the time axis by pairwise halving, in place: every column
     goes through the same additions at any width, so a batch column sums
@@ -338,12 +358,19 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     delta from a cache whose entries every stage of a search shares.
     Returns a scalar for 1-D states, an array of the batch shape otherwise.
     """
-    df, e = fs.v[:-1], fs.e
+    df = fs.v[:-1]
     if np.any(df <= 0.0):
         raise ValueError("degrees of freedom must be positive")
-    # -log p_t - log norm_t = 1/2 log(pi df q) + (df+1)/2 log1p(e^2/(df q)),
-    # in place over two arrays of the full batch width.
-    w = np.multiply(fs.kappa[:-1], fs.g)
+    w = _density_terms(fs.kappa[:-1], fs.g, fs.e, df)
+    return _loglik(float(fs.v.flat[0]), np.asarray(fs.delta), len(w), _sum_steps(w))
+
+
+def _density_terms(kappa, g, e, df, out=None) -> np.ndarray:
+    """-log p_t - log norm_t = 1/2 log(pi df q) + (df+1)/2 log1p(e^2/(df q))
+    at every step, from df q = kappa_{t-1} g_t, in ``out`` (which may be
+    ``kappa`` itself) or a new array; one more array of that width holds
+    the second term."""
+    w = np.multiply(kappa, g, out=out)
     r = np.divide(e * e, w)
     np.log1p(r, out=r)
     r *= (df + 1.0) / 2.0
@@ -351,14 +378,50 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     np.log(w, out=w)
     w *= 0.5
     w += r
-    n = len(w)
+    return w
+
+
+def _loglik(v0: float, delta: np.ndarray, n: int, terms) -> float | np.ndarray:
+    """The summed normalizers of steps 1..n, one per delta, minus the summed
+    density terms; a scalar when both are 0-d."""
     # n rounded up to a power of two: every stage of a search shares an entry.
     size = 1 << (n - 1).bit_length()
-    v0 = float(fs.v.flat[0])
-    delta = np.asarray(fs.delta)
     norm = np.array([_t_normalizer(v0, dl, size)[n] for dl in delta.ravel().tolist()])
-    total = norm.reshape(delta.shape) - _sum_steps(w)
+    total = norm.reshape(delta.shape) - terms
     return float(total) if np.ndim(total) == 0 else total
+
+
+def _score(y, x, prior: NIGPrior, d: DiscountPair):
+    """``(predictive_loglik(fs), fs.e)`` of ``fs = forward_filter(y, x,
+    prior, d)``, with no array at the full batch width that grows with n.
+
+    e, g and v run over the whole series at the width of their inputs, as
+    in the filter.  kappa and the density terms run over blocks of rows
+    that hold about ``_BLOCK_BYTES`` each at the full width: kappa's last
+    row starts the next block's scan, the terms overwrite the block's
+    kappa, and each block's pairwise sum is added to the total in time
+    order.  One block gives the filter's bits; more blocks change only the
+    rounding of kappa and of the sum.  Every column goes through the same
+    operations at any width, so a batch column equals its scalar run at the
+    same block rows.
+    """
+    e, g, delta = _forecasts(y, x, prior, d)[:3]
+    n = len(e)
+    df = _scan(delta, np.ones((n,) + (1,) * delta.ndim), prior.v0)[:-1]
+    b = e * e / g
+    width = math.prod(np.broadcast_shapes(b.shape[1:], delta.shape))
+    rows = max(1, _BLOCK_BYTES // (8 * width))
+    kappa, terms = prior.kappa0, None
+    # Copies of the carried row and of the first sum, so that no view keeps
+    # a block alive.
+    for lo in range(0, n, rows):
+        new = slice(lo, lo + rows)
+        block = _scan(delta, b[new], kappa)
+        kappa = block[-1].copy()
+        s = _sum_steps(_density_terms(block[:-1], g[new], e[new], df[new],
+                                      out=block[:-1]))
+        terms = s.copy() if terms is None else terms + s
+    return _loglik(float(prior.v0), delta, n, terms), e
 
 
 def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):

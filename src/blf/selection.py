@@ -18,9 +18,10 @@ outputs are its one-step forecast errors.  The causal scree is what makes
 fixed-pair totals comparable across the grid: chaining smoothed residuals
 instead lets every extra stage shrink the series a little using future
 data, which rewards small discounts without bound.  Scores need only the
-forward filters.  The final model is the smoothed lattice at the selected
-discounts up to the selected order; ``fit_blfdyn`` builds it stage by stage
-during its search.
+forward recurrences; each grid is scored through ``dlm._score``, whose
+full-width work runs over time blocks.  The final model is the smoothed
+lattice at the selected discounts up to the selected order; ``fit_blfdyn``
+builds it stage by stage during its search.
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ import numpy as np
 from .dlm import (
     DiscountPair,
     NIGPrior,
+    _forecasts,
+    _score,
     default_prior,
-    forward_filter,
-    predictive_loglik,
 )
+# forward_filter and predictive_loglik stay bound here, unused: perfbench's
+# spans.py wraps selection.forward_filter and selection.predictive_loglik
+# by name.
+from .dlm import forward_filter, predictive_loglik  # noqa: F401
 from .lattice import LatticeRun, _is_count, run_lattice, run_stage
 from .tvar import TvarFit, assemble_fit
 
@@ -175,22 +180,19 @@ def _causal_scree(x: np.ndarray, pair, batch: DiscountPair,
     shaped discounts and ``pair`` names a pair by index, as
     :func:`_batched_pairs` returns them; the result has shape
     (p_max, number of pairs).
-    The errors depend on gamma alone, so the series stay one column per
-    gamma, and the backward regression, whose only output is its errors,
-    runs at delta = 1.
+    Each stage is scored by :func:`blf.dlm._score`, which also returns the
+    forward errors.  The errors depend on gamma alone, so the series stay
+    one column per gamma, and the backward regression, whose only output
+    is its errors, runs only the recurrences that produce them.
     """
     scree = np.empty((p_max, batch.gamma.size * batch.delta.size))
-    errors_only = DiscountPair(batch.gamma, 1.0)
     f = b = x
     for m in range(1, p_max + 1):
-        fs_f = forward_filter(f[1:], b[:-1], prior, batch)
-        scree[m - 1] = predictive_loglik(fs_f).ravel()
+        ll, f_next = _score(f[1:], b[:-1], prior, batch)
+        scree[m - 1] = ll.ravel()
         _require_finite(scree[m - 1], pair, m)
-        b = forward_filter(b[:-1], f[1:], prior, errors_only).e
-        # Free the forward filter before the next stage runs, since every
-        # array alive at once adds to the peak.
-        f = fs_f.e
-        del fs_f
+        b = _forecasts(b[:-1], f[1:], prior, batch)[0]
+        f = f_next
     return scree
 
 
@@ -237,8 +239,7 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     scree = np.empty(grid.p_max)
     f_prev, b_prev = x, x
     for m in range(1, grid.p_max + 1):
-        ll = predictive_loglik(forward_filter(f_prev[m:], b_prev[:len(x) - m],
-                                              prior, batch)).ravel()
+        ll = _score(f_prev[m:], b_prev[:len(x) - m], prior, batch)[0].ravel()
         _require_finite(ll, pair, m)
         best = int(np.argmax(ll))
         scree[m - 1] = ll[best]

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from blf import dlm
 from blf.dlm import (
     DiscountPair,
     NIGPrior,
     _backward,
     _block_sampler,
     _scan,
+    _score,
     backward_sample,
     backward_smooth,
     default_prior,
@@ -281,6 +283,65 @@ class TestPredictiveLoglik:
         fs.v[0] = -1.0
         with pytest.raises(ValueError, match="degrees of freedom"):
             predictive_loglik(fs)
+
+
+GRID = DiscountPair(np.array([0.8, 0.9, 1.0])[:, None], np.array([0.85, 0.95, 1.0]))
+
+
+def score_problems():
+    """A scalar regression, a (T, G) batch with one pair per column and an
+    3 x 3 grid over one series, at T = 1023."""
+    rng = np.random.default_rng(17)
+    y, x = rng.normal(size=(2, 1023))
+    yb, xb = rng.normal(size=(2, 1023, 4))
+    yield y, x, DiscountPair(0.95, 0.9)
+    yield yb, xb, DiscountPair(np.array([0.8, 0.9, 1.0, 0.97]),
+                               np.array([1.0, 0.85, 0.9, 0.97]))
+    yield y, x, GRID
+
+
+class TestScore:
+    """``_score`` runs kappa and the density terms over blocks of rows."""
+
+    def test_one_block_equals_filter_bitwise(self):
+        for y, x, d in score_problems():
+            fs = forward_filter(y, x, NIGPrior(v0=2.5), d)
+            ll, e = _score(y, x, NIGPrior(v0=2.5), d)
+            assert np.array_equal(ll, predictive_loglik(fs))
+            assert np.array_equal(e, fs.e)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_blocks_agree_with_filter(self, rows, monkeypatch):
+        """1-row and 7-row blocks, the last one ragged (1023 = 146 * 7 + 1),
+        give the filter's score to rounding and its errors bit for bit."""
+        sums = []
+        real = dlm._sum_steps
+        monkeypatch.setattr(dlm, "_sum_steps", lambda w: sums.append(len(w)) or real(w))
+        for y, x, d in score_problems():
+            fs = forward_filter(y, x, NIGPrior(), d)
+            want = predictive_loglik(fs)
+            monkeypatch.setattr(dlm, "_BLOCK_BYTES", 8 * rows * np.size(want))
+            sums.clear()
+            ll, e = _score(y, x, NIGPrior(), d)
+            assert sums == [rows] * (1023 // rows) + [1023 % rows] * (1023 % rows > 0)
+            np.testing.assert_allclose(ll, want, rtol=1e-13)
+            assert np.array_equal(e, fs.e)
+
+    def test_nan_in_one_column_reaches_its_score(self, monkeypatch):
+        """A step that overflows one column of a batch in its ninth 7-row
+        block turns kappa to NaN from there on; the carried row takes it
+        into the later blocks and the sum into that column's score alone."""
+        y, x = np.random.default_rng(18).normal(size=(2, 100, 3))
+        y[60, 1] = x[60, 1] = 1e200
+        d = DiscountPair(np.array([0.9, 0.95, 1.0]), np.array([0.9, 0.95, 0.99]))
+        monkeypatch.setattr(dlm, "_BLOCK_BYTES", 8 * 7 * 3)
+        with np.errstate(all="ignore"):
+            ll, _ = _score(y, x, NIGPrior(), d)
+        assert np.isnan(ll[1]) and np.all(np.isfinite(ll[[0, 2]]))
+        for g in (0, 2):
+            fs = forward_filter(y[:, g], x[:, g], NIGPrior(),
+                                DiscountPair(d.gamma[g], d.delta[g]))
+            np.testing.assert_allclose(ll[g], predictive_loglik(fs), rtol=1e-13)
 
 
 class TestBackwardSample:

@@ -373,6 +373,18 @@ class TestCli:
         assert "error: --seed -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "tvar2", "--T", "64"],
+        ["benchmark", "tvar2", "--n", "2", "--T", "64", "--methods", "blfdyn",
+         "--p-max", "2", "--grid-min", "0.9", "--grid-step", "0.1"],
+    ])
+    def test_simulate_and_benchmark_reject_bad_seed(self, tmp_path, capsys, command):
+        """A negative seed is named as the flag, before anything is written."""
+        out = tmp_path / "out"
+        assert main(command + ["--seed", "-1", "--out-dir", str(out)]) == 1
+        assert "error: --seed -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_rejects_bad_freq_step(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "tvar2", "--T", "64", "--freq-step", "0.3",

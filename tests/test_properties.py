@@ -5,12 +5,14 @@ intermediate value by an exact sign or power of two, so PARCOR paths,
 orders and coefficients must come back bit for bit, and variances must
 scale by exactly 4^j.  Batch filtering, smoothing and lattice stages must
 equal the scalar runs column by column, and so must the predictive log
-likelihood, also for grid-shaped discounts.  A lower-order lattice is the first stages of a higher-order
-one, bit for bit.  Every CSV writer/reader pair gives back finite float64
-values bit for bit.
+likelihood, also for grid-shaped discounts and through the searches'
+time-blocked scorer.  A lower-order lattice is the first stages of a
+higher-order one, bit for bit.  Every CSV writer/reader pair gives back
+finite float64 values bit for bit.
 """
 
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from blf import dlm  # noqa: E402
 from blf.dlm import (  # noqa: E402
     DiscountPair,
     FilterState,
     NIGPrior,
+    _score,
     backward_smooth,
     forward_filter,
     predictive_loglik,
@@ -143,6 +147,25 @@ def test_grid_filter_equals_scalar(T, seed, gammas, deltas):
         for name in ("mu", "c", "v", "s"):
             assert _same_bits(getattr(sm, name), _column(getattr(smb, name), i, j)), name
         assert _same_bits(predictive_loglik(fs), llb[i, j])
+
+
+@given(T=st.integers(1, 40), seed=seeds, rows=st.integers(1, 40),
+       gammas=st.lists(discount, min_size=1, max_size=4),
+       deltas=st.lists(discount, min_size=1, max_size=4))
+def test_grid_score_equals_scalar(T, seed, rows, gammas, deltas):
+    """The time-blocked scorer on a grid gives each pair's score and the
+    errors bit for bit as on its scalar regression, when both run blocks of
+    the same number of rows."""
+    Gg, Gd = len(gammas), len(deltas)
+    y, x = np.random.default_rng(seed).normal(size=(2, T))
+    with mock.patch.object(dlm, "_BLOCK_BYTES", 8 * rows * Gg * Gd):
+        llb, eb = _score(y, x, NIGPrior(), DiscountPair(np.array(gammas)[:, None],
+                                                        np.array(deltas)))
+    assert llb.shape == (Gg, Gd) and eb.shape == (T, Gg, 1)
+    with mock.patch.object(dlm, "_BLOCK_BYTES", 8 * rows):
+        for i, j in np.ndindex(Gg, Gd):
+            ll, e = _score(y, x, NIGPrior(), DiscountPair(gammas[i], deltas[j]))
+            assert _same_bits(ll, llb[i, j]) and _same_bits(e, eb[:, i, 0])
 
 
 def _column(arr, i, j):

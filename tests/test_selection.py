@@ -1,5 +1,7 @@
 """Order rule and discount-search tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,16 +177,15 @@ class TestFitters:
     def test_nonfinite_score_is_named(self, fitter, monkeypatch):
         """A NaN in one grid column never wins the argmax: the search stops
         and names the stage and the (gamma, delta) pair."""
-        real = blf.selection.predictive_loglik
+        real = blf.selection._score
 
-        def nan_in_column_3(fs):
-            ll = real(fs)
-            if np.ndim(ll):
-                ll = ll.copy()
-                ll.reshape(-1)[3] = np.nan
-            return ll
+        def nan_in_column_3(*args):
+            ll, e = real(*args)
+            ll = ll.copy()
+            ll.reshape(-1)[3] = np.nan
+            return ll, e
 
-        monkeypatch.setattr(blf.selection, "predictive_loglik", nan_in_column_3)
+        monkeypatch.setattr(blf.selection, "_score", nan_in_column_3)
         x = np.random.default_rng(38).normal(size=200)
         pair = SMALL_GRID.pairs()[3]
         with pytest.raises(ValueError, match=rf"m=1 .*\(gamma, delta\)="
@@ -226,6 +227,31 @@ class TestFitters:
             default_prior([])
         with pytest.raises(ValueError, match="non-empty series"):
             fit_fixed([], DiscountPair(1.0, 1.0), 1)
+
+
+def test_blffix_memory_is_bounded_by_its_narrow_arrays():
+    """At T=16384 on the default 11 x 11 grid, a blffix fit's traced peak
+    stays within what its causal pass keeps: at most three error series
+    (a stage's forward and backward errors and the next forward errors)
+    and six working arrays of one regression's recurrences (x^2, P, g and
+    the mean's scan input, output and scratch), each T x 11 one column per
+    gamma; v and the cached normalizers, T x 11 one column per delta; and
+    two blocks of the scorer's byte budget for the full-width work.  That
+    is 15.4 MiB; with kappa and the density at full width over the whole
+    series the peak was 56.5 MiB.  The final lattice, at order 4, peaks
+    lower."""
+    T, grid = 16384, SearchGrid()
+    x = gen_tvar6(T, seed=0).x
+    bound = 8 * T * (9 * len(grid.gammas) + 2 * len(grid.deltas)) \
+        + 2 * blf.dlm._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        rep = fit_blffix(x, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.chosen_order == 4
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
 
 
 class TestScreeTable:
