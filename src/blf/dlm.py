@@ -27,10 +27,16 @@ regression observes only the steps it has.
 
 A grid search reads only each pair's predictive log likelihood and the
 forecast errors, so it scores through ``_score``: the recurrences at the
-width of the series and the discounts run over the whole series as in the
-filter, and kappa and the Student-t density over blocks of rows within a
-fixed byte budget.  Only ``forward_filter``, which the lattice runs, stores
-kappa at the full batch width.
+width of the series and gamma run over the whole series as in the filter,
+the degrees of freedom are the cached rows of the Student-t normalizer,
+and kappa and the density run as one chunked sweep.  The series is split
+into chunks of K consecutive steps, with one row per chunk at the full
+batch width within a fixed byte budget: a first pass gives each chunk's
+local kappa, ``_scan`` carries the chunk ends, and a second pass adds up
+the density.  ``predictive_loglik`` and ``_score`` evaluate one density
+formula, its full-width terms in ``_density`` and the rest at the width
+of g.  Only ``forward_filter``, which the lattice runs, stores kappa at the
+full batch width.
 """
 
 from __future__ import annotations
@@ -243,6 +249,7 @@ def _forecasts(y, x, prior: NIGPrior, d: DiscountPair):
     xx = x * x
     P = _scan(gamma, xx, prior.kappa0 / prior.v0 / prior.c0)
     g = 1.0 + xx / (gamma * P[:-1])
+    del xx  # one array of the series' width fewer alive through the mean's scan
     mu = _scan(gamma, x * y, prior.mu0 * P[0]) / P
     mu[0] = prior.mu0
     e = y - mu[:-1] * x
@@ -304,7 +311,7 @@ def backward_smooth(fs: FilterState) -> SmoothState:
     """
     gamma, delta = fs.gamma, fs.delta
     s_f = fs.kappa / fs.v
-    mu = _backward(gamma, (1.0 - gamma) * fs.mu[:-1], fs.mu[-1])
+    mu = _smooth_mean(fs.mu, gamma)
     v = _backward(delta, (1.0 - delta) * fs.v[:-1], fs.v[-1])
     prec = _backward(delta, (1.0 - delta) / s_f[:-1], 1.0 / s_f[-1])
     cstar = _backward(gamma * gamma, (1.0 - gamma) / fs.P[:-1], 1.0 / fs.P[-1])
@@ -315,23 +322,41 @@ def backward_smooth(fs: FilterState) -> SmoothState:
     return SmoothState(mu=mu, c=c, v=v, s=s)
 
 
+def _smooth_mean(mu: np.ndarray, gamma) -> np.ndarray:
+    """The smoothed means mu_{t|n} of :func:`backward_smooth` from the
+    filtered means ``mu`` alone."""
+    return _backward(gamma, (1.0 - gamma) * mu[:-1], mu[-1])
+
+
 @functools.lru_cache(maxsize=64)
-def _t_normalizer(v0: float, delta: float, size: int) -> np.ndarray:
-    """Prefix sums of lgamma((v_t + 1)/2) - lgamma(v_t/2) over the degrees
-    of freedom v_t = delta v_{t-1} + 1 from v_0 = v0: entry k sums t < k,
-    for k = 0..size.  The df come from the filter's own kernel, whose first
-    rows do not depend on the scan's length, so they are the filter's ``v``
-    bit for bit."""
-    df = _scan(delta, np.ones(size - 1), v0).tolist()
-    out = np.zeros(size + 1)
-    np.cumsum([math.lgamma((u + 1.0) / 2.0) - math.lgamma(u / 2.0) for u in df],
-              out=out[1:])
-    out.flags.writeable = False
-    return out
+def _t_normalizer(v0: float, delta: float, size: int):
+    """The degrees of freedom v_t = delta v_{t-1} + 1 from v_0 = v0 for
+    t = 0..size-1, and the prefix sums of lgamma((v_t + 1)/2) - lgamma(v_t/2)
+    over them: entry k sums t < k, for k = 0..size.  The df come from the
+    filter's own kernel, whose first rows do not depend on the scan's
+    length, so they are the filter's ``v`` bit for bit."""
+    df = _scan(delta, np.ones(size - 1), v0)
+    norm = np.zeros(size + 1)
+    np.cumsum([math.lgamma((u + 1.0) / 2.0) - math.lgamma(u / 2.0)
+               for u in df.tolist()], out=norm[1:])
+    df.flags.writeable = norm.flags.writeable = False
+    return df, norm
 
 
-# Bytes of one block of rows at the full batch width in ``_score``: at most
-# two such blocks are alive at once.
+def _normalizer(v0: float, delta: np.ndarray, n: int):
+    """``(df, norm)`` of steps 1..n from the cache, one entry per delta: the
+    df v_0..v_{n-1}, of shape ``(n,) + delta.shape``, and the summed
+    normalizers, of the shape of ``delta``."""
+    # n rounded up to a power of two: every stage of a search shares an entry.
+    size = 1 << (n - 1).bit_length()
+    entries = [_t_normalizer(v0, dl, size) for dl in delta.ravel().tolist()]
+    df = np.stack([col[:n] for col, _ in entries], axis=-1)
+    norm = np.array([sums[n] for _, sums in entries])
+    return df.reshape((n,) + delta.shape), norm.reshape(delta.shape)
+
+
+# Bytes of one slab of chunk rows at the full batch width in ``_score``: at
+# most three such slabs are alive at once.
 _BLOCK_BYTES = 128 << 10
 
 
@@ -352,76 +377,109 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
 
     Each predictive p(y_t | D_{t-1}) is Student-t with v_{t-1} degrees of
     freedom, location mu_{t-1} x_t and squared scale q_t = s_{t-1} g_t, i.e.
-    the t density evaluated at the forecast error e_t with location 0; the
-    product v_{t-1} q_t it needs is kappa_{t-1} g_t.  The df depend on
-    (v0, delta) only, so the summed normalizing constants are taken once per
-    delta from a cache whose entries every stage of a search shares.
-    Returns a scalar for 1-D states, an array of the batch shape otherwise.
+    the t density evaluated at the forecast error e_t with location 0.
+    With v_{t-1} q_t = kappa_{t-1} g_t and b_t = e_t^2 / g_t, its log is
+
+        norm_t - 1/2 log kappa_{t-1} - (v_{t-1} + 1)/2 log1p(b_t / kappa_{t-1})
+               - 1/2 log(pi g_t),
+
+    norm_t = lgamma((v_{t-1} + 1)/2) - lgamma(v_{t-1}/2): the middle terms
+    at the full batch width (:func:`_density`), the last at that of g.  The
+    df depend on (v0, delta) only, so the summed normalizers are taken from
+    a cache whose entries every stage of a search shares.  Returns a scalar
+    for 1-D states, an array of the batch shape otherwise.
     """
     df = fs.v[:-1]
     if np.any(df <= 0.0):
         raise ValueError("degrees of freedom must be positive")
-    w = _density_terms(fs.kappa[:-1], fs.g, fs.e, df)
-    return _loglik(float(fs.v.flat[0]), np.asarray(fs.delta), len(w), _sum_steps(w))
+    kappa = fs.kappa[:-1]
+    acc = np.zeros(kappa.shape)
+    _density(kappa, fs.e * fs.e / fs.g, df + 1.0, acc, np.empty_like(acc))
+    norm = _normalizer(float(fs.v.flat[0]), np.asarray(fs.delta), len(acc))[1]
+    return _loglik(norm, acc, fs.g)
 
 
-def _density_terms(kappa, g, e, df, out=None) -> np.ndarray:
-    """-log p_t - log norm_t = 1/2 log(pi df q) + (df+1)/2 log1p(e^2/(df q))
-    at every step, from df q = kappa_{t-1} g_t, in ``out`` (which may be
-    ``kappa`` itself) or a new array; one more array of that width holds
-    the second term."""
-    w = np.multiply(kappa, g, out=out)
-    r = np.divide(e * e, w)
-    np.log1p(r, out=r)
-    r *= (df + 1.0) / 2.0
-    w *= np.pi
-    np.log(w, out=w)
-    w *= 0.5
-    w += r
-    return w
+def _density(kappa, b, v1, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """Add log kappa + v1 log1p(b / kappa) to ``acc`` row by row, through the
+    scratch ``tmp``: twice the full-width density terms of the steps whose
+    kappa_{t-1}, b_t = e_t^2 / g_t and v1 = v_{t-1} + 1 are given."""
+    np.divide(b, kappa, out=tmp)
+    np.log1p(tmp, out=tmp)
+    tmp *= v1
+    acc += tmp
+    np.log(kappa, out=tmp)
+    acc += tmp
 
 
-def _loglik(v0: float, delta: np.ndarray, n: int, terms) -> float | np.ndarray:
-    """The summed normalizers of steps 1..n, one per delta, minus the summed
-    density terms; a scalar when both are 0-d."""
-    # n rounded up to a power of two: every stage of a search shares an entry.
-    size = 1 << (n - 1).bit_length()
-    norm = np.array([_t_normalizer(v0, dl, size)[n] for dl in delta.ravel().tolist()])
-    total = norm.reshape(delta.shape) - terms
+def _loglik(norm, acc: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+    """The summed normalizers ``norm`` minus the summed density terms: half
+    the rows of ``acc`` (:func:`_density`) and half of log(pi g) over the
+    steps, each summed by :func:`_sum_steps`; a scalar when 0-d."""
+    total = norm - 0.5 * (_sum_steps(acc) + _sum_steps(np.log(np.pi * g)))
     return float(total) if np.ndim(total) == 0 else total
+
+
+def _chunks(n: int, width: int) -> tuple[int, int]:
+    """``(nc, K)``: the n steps of :func:`_score` as nc chunks of K
+    consecutive steps, the last one ragged, so that one row per chunk at
+    the full batch ``width`` fits ``_BLOCK_BYTES``."""
+    K = -(-n // max(1, _BLOCK_BYTES // (8 * width)))
+    return -(-n // K), K
 
 
 def _score(y, x, prior: NIGPrior, d: DiscountPair):
     """``(predictive_loglik(fs), fs.e)`` of ``fs = forward_filter(y, x,
     prior, d)``, with no array at the full batch width that grows with n.
 
-    e, g and v run over the whole series at the width of their inputs, as
-    in the filter.  kappa and the density terms run over blocks of rows
-    that hold about ``_BLOCK_BYTES`` each at the full width: kappa's last
-    row starts the next block's scan, the terms overwrite the block's
-    kappa, and each block's pairwise sum is added to the total in time
-    order.  One block gives the filter's bits; more blocks change only the
-    rounding of kappa and of the sum.  Every column goes through the same
-    operations at any width, so a batch column equals its scalar run at the
-    same block rows.
+    e and g run over the whole series at the width of their inputs, as in
+    the filter, and so does b = e^2/g; the df are the cached rows of the
+    normalizer.  The full-width work, kappa and the density terms, runs as
+    one chunked sweep (Blelloch 1990): the n steps are nc chunks of K
+    consecutive steps (:func:`_chunks`), and each pass steps through the K
+    steps of every chunk at once on (nc, width) slabs.
+
+    1. Pass 1 runs kappa_t = delta kappa_{t-1} + b_t from 0 inside every
+       full chunk, which gives each chunk's local end.
+    2. ``_scan`` with the coefficient delta^K carries the ends over the
+       chunks, from kappa_0, to each chunk's starting kappa.
+    3. Pass 2 runs the K steps again from those starts and adds each step's
+       density terms (:func:`_density`) into a slab accumulator, whose
+       chunk rows :func:`_loglik` sums.
+
+    With K = 1 (n chunks of one step) the starts are the filter's kappa and
+    the score is ``predictive_loglik``'s bit for bit; larger K changes only
+    the rounding of kappa and of the sum.  Every column goes through the
+    same operations at any width, so a batch column equals its scalar run
+    at the same number of chunks.
     """
     e, g, delta = _forecasts(y, x, prior, d)[:3]
     n = len(e)
-    df = _scan(delta, np.ones((n,) + (1,) * delta.ndim), prior.v0)[:-1]
     b = e * e / g
-    width = math.prod(np.broadcast_shapes(b.shape[1:], delta.shape))
-    rows = max(1, _BLOCK_BYTES // (8 * width))
-    kappa, terms = prior.kappa0, None
-    # Copies of the carried row and of the first sum, so that no view keeps
-    # a block alive.
-    for lo in range(0, n, rows):
-        new = slice(lo, lo + rows)
-        block = _scan(delta, b[new], kappa)
-        kappa = block[-1].copy()
-        s = _sum_steps(_density_terms(block[:-1], g[new], e[new], df[new],
-                                      out=block[:-1]))
-        terms = s.copy() if terms is None else terms + s
-    return _loglik(float(prior.v0), delta, n, terms), e
+    shape = np.broadcast_shapes(b.shape[1:], delta.shape)
+    nc, K = _chunks(n, math.prod(shape))
+    df, norm = _normalizer(float(prior.v0), delta, n)
+
+    full = (nc - 1) * K  # steps of the full chunks: the last chunk's end is unused
+    ends = np.empty((nc - 1,) + shape)
+    ends[...] = b[0:full:K]
+    carry = delta
+    for k in range(1, K):
+        ends *= delta
+        ends += b[k:full:K]
+        carry = carry * delta
+    kappa = _scan(carry, ends, prior.kappa0)
+    del ends
+
+    acc = np.zeros_like(kappa)
+    tmp = np.empty_like(kappa)
+    for k in range(K):
+        rows = slice(k, n, K)
+        m = len(range(k, n, K))  # the ragged last chunk may lack step k
+        _density(kappa[:m], b[rows], df[rows] + 1.0, acc[:m], tmp[:m])
+        if k + 1 < K:
+            kappa[:m] *= delta
+            kappa[:m] += b[rows]
+    return _loglik(norm, acc, g), e
 
 
 def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):

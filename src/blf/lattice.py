@@ -22,6 +22,8 @@ from .dlm import (
     DiscountPair,
     FilterState,
     NIGPrior,
+    _forecasts,
+    _smooth_mean,
     backward_smooth,
     forward_filter,
     predictive_loglik,
@@ -134,14 +136,7 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     sm_f = backward_smooth(fs_f)
     sm_b = backward_smooth(fs_b)
 
-    f_next = f_prev.copy()
-    f_next[m:] -= sm_f.mu[1:] * b_obs
-    b_next = b_prev.copy()
-    b_next[:T - m] -= sm_b.mu[1:] * f_obs
-
-    if not (np.all(np.isfinite(f_next)) and np.all(np.isfinite(b_next))):
-        raise ValueError(f"non-finite residuals produced at stage m={m}")
-
+    f_next, b_next = _next_errors(f_prev, b_prev, m, sm_f.mu, sm_b.mu)
     rows_f, rows_b = filter_rows(T, m)
     return StageResult(
         m=m,
@@ -152,6 +147,33 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
         loglik=predictive_loglik(fs_f),
         filter_f=fs_f, filter_b=fs_b,
     )
+
+
+def _next_errors(f_prev, b_prev, m: int, mu_f, mu_b):
+    """The stage-m prediction errors ``(f_next, b_next)``: each input less
+    its regressor times the smoothed coefficient means ``mu_f``/``mu_b`` of
+    the stage's forward and backward regressions (rows 0..T-m)."""
+    T = f_prev.shape[0]
+    f_next = f_prev.copy()
+    f_next[m:] -= mu_f[1:] * b_prev[:T - m]
+    b_next = b_prev.copy()
+    b_next[:T - m] -= mu_b[1:] * f_prev[m:]
+    if not (np.all(np.isfinite(f_next)) and np.all(np.isfinite(b_next))):
+        raise ValueError(f"non-finite residuals produced at stage m={m}")
+    return f_next, b_next
+
+
+def _stage_errors(f_prev, b_prev, m: int, d: DiscountPair, prior: NIGPrior):
+    """``(f_next, b_next)`` of ``run_stage(f_prev, b_prev, m, d, prior)``
+    bit for bit, from the two regressions' filtered and smoothed means
+    alone: no variance, degrees of freedom or score is computed or kept.
+    A search that only chains stages runs this."""
+    T = f_prev.shape[0]
+    f_obs, b_obs = f_prev[m:], b_prev[:T - m]
+    mu_f, gamma = _forecasts(f_obs, b_obs, prior, d)[4:]
+    mu_b = _forecasts(b_obs, f_obs, prior, d)[4]
+    return _next_errors(f_prev, b_prev, m, _smooth_mean(mu_f, gamma),
+                        _smooth_mean(mu_b, gamma))
 
 
 def run_lattice(x, P: int, per_stage, prior: NIGPrior) -> LatticeRun:

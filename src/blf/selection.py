@@ -19,9 +19,10 @@ fixed-pair totals comparable across the grid: chaining smoothed residuals
 instead lets every extra stage shrink the series a little using future
 data, which rewards small discounts without bound.  Scores need only the
 forward recurrences; each grid is scored through ``dlm._score``, whose
-full-width work runs over time blocks.  The final model is the smoothed
-lattice at the selected discounts up to the selected order; ``fit_blfdyn``
-builds it stage by stage during its search.
+full-width work runs as one chunked sweep over the series.  ``fit_blfdyn``
+chains its stages through their prediction errors alone.  The final model
+of both is the smoothed lattice at the selected discounts up to the
+selected order, built once after the search.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .dlm import (
     _score,
     default_prior,
 )
-# forward_filter and predictive_loglik stay bound here, unused: perfbench's
-# spans.py wraps selection.forward_filter and selection.predictive_loglik
-# by name.
+from .lattice import LatticeRun, _is_count, _stage_errors, run_lattice
+# forward_filter, predictive_loglik and run_stage stay bound here, unused:
+# perfbench's spans.py wraps selection.forward_filter,
+# selection.predictive_loglik and selection.run_stage by name.
 from .dlm import forward_filter, predictive_loglik  # noqa: F401
-from .lattice import LatticeRun, _is_count, run_lattice, run_stage
+from .lattice import run_stage  # noqa: F401
 from .tvar import TvarFit, assemble_fit
 
 __all__ = [
@@ -229,13 +231,16 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     At each stage every grid pair is scored on the residuals fixed by the
     previously selected stages; the stage keeps the pair with the highest
     forward predictive log likelihood (ties to the earliest pair in gamma-
-    then-delta order).  The smoothed stage at that pair feeds the next
-    stage; stage ``p_max`` is smoothed only if the order rule keeps it.
+    then-delta order).  The search keeps only the prediction errors that
+    the smoothed stage at that pair feeds the next stage
+    (:func:`blf.lattice._stage_errors`); the final model is the lattice at
+    the chosen pairs up to the selected order, built once at the end, as
+    ``fit_blffix`` does.
     """
     grid, x, prior = _search_inputs(x, grid, prior)
     pair, batch = _batched_pairs(grid)
 
-    discounts, stages = [], []
+    discounts = []
     scree = np.empty(grid.p_max)
     f_prev, b_prev = x, x
     for m in range(1, grid.p_max + 1):
@@ -245,15 +250,11 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
         scree[m - 1] = ll[best]
         discounts.append(pair(best))
         if m < grid.p_max:
-            stages.append(run_stage(f_prev, b_prev, m, discounts[-1], prior))
-            f_prev, b_prev = stages[-1].f_next, stages[-1].b_next
+            f_prev, b_prev = _stage_errors(f_prev, b_prev, m, discounts[-1], prior)
 
     order = select_order(scree, tau)
-    saturated = order == grid.p_max
-    if saturated:
-        stages.append(run_stage(f_prev, b_prev, grid.p_max, discounts[-1], prior))
-    run = LatticeRun(stages=stages[:order], x=x)
-    return _report("blfdyn", run, discounts, scree, saturated)
+    run = run_lattice(x, order, discounts[:order], prior)
+    return _report("blfdyn", run, discounts, scree, order == grid.p_max)
 
 
 def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,

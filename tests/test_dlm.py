@@ -258,6 +258,27 @@ class TestPredictiveLoglik:
                                    readouts(fs)[2].tolist()))
             assert predictive_loglik(fs) == pytest.approx(want, rel=1e-13)
 
+    def test_matches_student_t_reference(self):
+        """On random regressions, priors and discounts the score equals a
+        Python-float loop of the Student-t log density with v_{t-1} degrees
+        of freedom and squared scale q_t = s_{t-1} g_t, s = kappa / v, at
+        the filter's own error e_t, with the normalizer from math.lgamma."""
+        rng = np.random.default_rng(19)
+        for n in (1, 7, 200, 1000, 1500):
+            y, x = rng.normal(size=(2, n)) * rng.uniform(0.1, 10.0)
+            prior = NIGPrior(mu0=rng.normal(), c0=rng.uniform(0.1, 3.0),
+                             v0=rng.uniform(0.5, 5.0), kappa0=rng.uniform(0.1, 4.0))
+            d = DiscountPair(*rng.uniform(0.8, 1.0, size=2))
+            fs = forward_filter(y, x, prior, d)
+            want = 0.0
+            for v, kappa, e, g in zip(fs.v[:-1].tolist(), fs.kappa[:-1].tolist(),
+                                      fs.e.tolist(), fs.g.tolist()):
+                q = kappa / v * g
+                want += (math.lgamma((v + 1) / 2) - math.lgamma(v / 2)
+                         - 0.5 * math.log(v * math.pi * q)
+                         - (v + 1) / 2 * math.log1p(e * e / (v * q)))
+            assert predictive_loglik(fs) == pytest.approx(want, rel=1e-12)
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         y, x = rng.normal(size=30), rng.normal(size=30)
@@ -301,7 +322,7 @@ def score_problems():
 
 
 class TestScore:
-    """``_score`` runs kappa and the density terms over blocks of rows."""
+    """``_score`` runs kappa and the density terms as one chunked sweep."""
 
     def test_one_block_equals_filter_bitwise(self):
         for y, x, d in score_problems():
@@ -310,20 +331,31 @@ class TestScore:
             assert np.array_equal(ll, predictive_loglik(fs))
             assert np.array_equal(e, fs.e)
 
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_blocks_agree_with_filter(self, rows, monkeypatch):
-        """1-row and 7-row blocks, the last one ragged (1023 = 146 * 7 + 1),
-        give the filter's score to rounding and its errors bit for bit."""
-        sums = []
-        real = dlm._sum_steps
-        monkeypatch.setattr(dlm, "_sum_steps", lambda w: sums.append(len(w)) or real(w))
+    @pytest.mark.parametrize("K", [1, 2, 7, 1023])
+    def test_blocks_agree_with_filter(self, K, monkeypatch):
+        """Chunks of K = 1, 2, 7 and n steps, the last one ragged at K = 2
+        and 7 (1023 = 511 * 2 + 1 = 146 * 7 + 1), give the filter's score to
+        rounding and its errors bit for bit.  Pass 2 adds the density terms
+        of step k of every chunk that has one, so the ragged chunk drops out
+        after its first step."""
+        nc = -(-1023 // K)
+        last = 1023 - (nc - 1) * K
+        rows = []
+        real = dlm._density
+
+        def density(kappa, *args):
+            rows.append(len(kappa))
+            real(kappa, *args)
+
+        monkeypatch.setattr(dlm, "_density", density)
         for y, x, d in score_problems():
             fs = forward_filter(y, x, NIGPrior(), d)
             want = predictive_loglik(fs)
-            monkeypatch.setattr(dlm, "_BLOCK_BYTES", 8 * rows * np.size(want))
-            sums.clear()
+            monkeypatch.setattr(dlm, "_BLOCK_BYTES", 8 * nc * np.size(want))
+            assert dlm._chunks(1023, np.size(want)) == (nc, K)
+            rows.clear()
             ll, e = _score(y, x, NIGPrior(), d)
-            assert sums == [rows] * (1023 // rows) + [1023 % rows] * (1023 % rows > 0)
+            assert rows == [nc] * last + [nc - 1] * (K - last)
             np.testing.assert_allclose(ll, want, rtol=1e-13)
             assert np.array_equal(e, fs.e)
 

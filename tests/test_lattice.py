@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blf.dlm import DiscountPair, NIGPrior, backward_smooth, default_prior
-from blf.lattice import run_lattice, run_stage
+from blf.lattice import _stage_errors, run_lattice, run_stage
 from blf.simulate import gen_tvar2
 from blf.tvar import path_sampler
 from helpers import readouts, whole_paths
@@ -90,6 +90,19 @@ class TestRunStage:
         st = run_stage(cols, cols, 1, batch, NIGPrior())
         one = run_stage(x, x, 1, DiscountPair(0.95, 0.95), NIGPrior())
         assert np.array_equal(st.f_next[:, 1], one.f_next)
+
+    def test_stage_errors_equal_the_stage_outputs(self):
+        """The errors a search chains are the stage's ``f_next``/``b_next``
+        bit for bit, at every stage of a TVAR2 lattice and at pairs with
+        gamma = 1 and delta = 1."""
+        x = gen_tvar2(300, seed=7).x
+        f = b = x
+        for m, d in enumerate([DiscountPair(0.9, 0.95), DiscountPair(1.0, 0.9),
+                               DiscountPair(0.95, 1.0)], start=1):
+            st = run_stage(f, b, m, d, default_prior(x))
+            f_next, b_next = _stage_errors(f, b, m, d, default_prior(x))
+            assert np.array_equal(f_next, st.f_next) and np.array_equal(b_next, st.b_next)
+            f, b = f_next, b_next
 
     def test_rejects_bad_stage_index(self):
         x = np.zeros(10)

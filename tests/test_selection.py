@@ -254,6 +254,26 @@ def test_blffix_memory_is_bounded_by_its_narrow_arrays():
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
 
 
+
+def test_blfdyn_memory_is_bounded_by_what_it_keeps():
+    """At T=16384 on the default 11 x 11 grid, a blfdyn fit's traced peak
+    exceeds what it leaves allocated (its report, whose order-6 lattice is
+    16 MiB, and the normalizer cache) by less than three T x 11 arrays: the
+    search chains its stages through their prediction errors alone and
+    builds the lattice once, after the order rule.  Keeping every stage's
+    lattice output until the order rule ran peaked 26 MiB above it."""
+    T, grid = 16384, SearchGrid()
+    x = gen_tvar6(T, seed=0).x
+    tracemalloc.start()
+    try:
+        rep = fit_blfdyn(x, grid=grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.chosen_order == 6
+    bound = kept + 8 * T * 3 * len(grid.gammas)
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
+
 class TestScreeTable:
     def test_rows_and_first_pct_undefined(self):
         rng = np.random.default_rng(36)
