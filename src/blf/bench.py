@@ -9,6 +9,7 @@ record rather than aborting the run.
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -99,7 +100,10 @@ def run_benchmark(process: str, n: int, methods, T: int = 1024,
     ]
     records: list[BenchmarkRecord] = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawn, not fork: forking a process whose BLAS pool holds threads
+        # can leave a child waiting on a lock no thread will release.
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             for batch in pool.map(_one_replicate, jobs):
                 records.extend(batch)
     else:

@@ -343,16 +343,27 @@ def _t_normalizer(v0: float, delta: float, size: int):
     return df, norm
 
 
+def _normalizer_entries(v0: float, delta: np.ndarray, n: int) -> list:
+    """The cache entries of :func:`_t_normalizer` covering steps 1..n, one
+    per delta in ``delta.ravel()`` order."""
+    # n rounded up to a power of two: every stage of a search shares an entry.
+    size = 1 << (n - 1).bit_length()
+    return [_t_normalizer(v0, dl, size) for dl in delta.ravel().tolist()]
+
+
+def _summed_normalizer(v0: float, delta: np.ndarray, n: int) -> np.ndarray:
+    """The normalizers of steps 1..n summed from the cache, one per delta,
+    of the shape of ``delta``."""
+    entries = _normalizer_entries(v0, delta, n)
+    return np.array([sums[n] for _, sums in entries]).reshape(delta.shape)
+
+
 def _normalizer(v0: float, delta: np.ndarray, n: int):
     """``(df, norm)`` of steps 1..n from the cache, one entry per delta: the
     df v_0..v_{n-1}, of shape ``(n,) + delta.shape``, and the summed
     normalizers, of the shape of ``delta``."""
-    # n rounded up to a power of two: every stage of a search shares an entry.
-    size = 1 << (n - 1).bit_length()
-    entries = [_t_normalizer(v0, dl, size) for dl in delta.ravel().tolist()]
-    df = np.stack([col[:n] for col, _ in entries], axis=-1)
-    norm = np.array([sums[n] for _, sums in entries])
-    return df.reshape((n,) + delta.shape), norm.reshape(delta.shape)
+    df = np.stack([col[:n] for col, _ in _normalizer_entries(v0, delta, n)], axis=-1)
+    return df.reshape((n,) + delta.shape), _summed_normalizer(v0, delta, n)
 
 
 # Bytes of one slab of chunk rows at the full batch width in ``_score``: at
@@ -395,7 +406,7 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     kappa = fs.kappa[:-1]
     acc = np.zeros(kappa.shape)
     _density(kappa, fs.e * fs.e / fs.g, df + 1.0, acc, np.empty_like(acc))
-    norm = _normalizer(float(fs.v.flat[0]), np.asarray(fs.delta), len(acc))[1]
+    norm = _summed_normalizer(float(fs.v.flat[0]), np.asarray(fs.delta), len(acc))
     return _loglik(norm, acc, fs.g)
 
 

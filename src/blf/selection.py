@@ -106,14 +106,34 @@ class SelectionReport:
 
 
 def _pct_change(scree: np.ndarray) -> np.ndarray:
-    """|(L_m - L_{m-1}) / L_{m-1}| * 100 for m = 2..len(scree)."""
-    return np.abs(np.diff(scree) / scree[:-1]) * 100.0
+    """|(L_m - L_{m-1}) / L_{m-1}| * 100 for m = 2..len(scree), down each
+    column of a (p,) or (p, n) scree."""
+    return np.abs(np.diff(scree, axis=0) / scree[:-1]) * 100.0
+
+
+def _first_hit(mask: np.ndarray, none: int) -> np.ndarray:
+    """1 + the row of the first True down each column of ``mask``, or
+    ``none`` where a column has no True (always so when ``mask`` has no
+    rows)."""
+    stop = np.concatenate([mask, np.ones((1,) + mask.shape[1:], dtype=bool)])
+    first = np.argmax(stop, axis=0)
+    return np.where(first < len(mask), first + 1, none)
 
 
 def _check_tau(tau: float) -> None:
     """Raise unless the order rule's threshold is finite and > 0."""
     if not (np.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
+
+
+def _order_rule(scree: np.ndarray, tau: float) -> np.ndarray:
+    """:func:`select_order` of every column of a (p,) or (p, n) scree."""
+    _check_tau(tau)
+    if scree.size == 0:
+        raise ValueError("need at least one scree value")
+    if np.any(~np.isfinite(scree)) or np.any(scree == 0.0):
+        raise ValueError("scree values must be finite and nonzero")
+    return _first_hit(_pct_change(scree) < tau, len(scree))
 
 
 def select_order(scree, tau: float = 0.5) -> int:
@@ -125,16 +145,7 @@ def select_order(scree, tau: float = 0.5) -> int:
     (callers flag this case).  ``tau`` must be finite and > 0: at NaN or
     tau <= 0 the rule would never fire, at +inf it would always fire.
     """
-    _check_tau(tau)
-    scree = np.asarray(scree, dtype=float)
-    if scree.size == 0:
-        raise ValueError("need at least one scree value")
-    if np.any(~np.isfinite(scree)) or np.any(scree == 0.0):
-        raise ValueError("scree values must be finite and nonzero")
-    hits = np.nonzero(_pct_change(scree) < tau)[0]
-    if hits.size == 0:
-        return len(scree)
-    return int(hits[0]) + 1
+    return int(_order_rule(np.asarray(scree, dtype=float), tau))
 
 
 def _search_inputs(x, grid: SearchGrid | None,
@@ -198,17 +209,23 @@ def _causal_scree(x: np.ndarray, pair, batch: DiscountPair,
     return scree
 
 
-def _first_flattening(scree: np.ndarray) -> int:
-    """Order at the first local minimum of the percent-change sequence.
+def _first_flattening(scree: np.ndarray) -> np.ndarray:
+    """Order at the first local minimum of the percent-change sequence,
+    down each column of a (p,) or (p, n) scree.
 
     Fallback scree reading for when no change clears the threshold: the
     first stage where the relative gain stops shrinking marks the elbow.
     """
     pct = _pct_change(scree)
-    for i in range(len(pct) - 1):
-        if pct[i] <= pct[i + 1]:
-            return i + 1
-    return len(scree)
+    return _first_hit(pct[:-1] <= pct[1:], len(scree))
+
+
+def _blffix_orders(scree: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's order and saturation flag in ``fit_blffix``: the
+    percent-change rule, or the first flattening where the rule saturates."""
+    rule = _order_rule(scree, tau)
+    saturated = rule == len(scree)
+    return np.where(saturated, _first_flattening(scree), rule), saturated
 
 
 def _report(method: str, run: LatticeRun, discounts: list[DiscountPair],
@@ -275,14 +292,8 @@ def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     pair, batch = _batched_pairs(grid)
 
     scree = _causal_scree(x, pair, batch, grid.p_max, prior)
-    n_pairs = scree.shape[1]
-    orders = np.empty(n_pairs, dtype=int)
-    sats = np.empty(n_pairs, dtype=bool)
-    for g in range(n_pairs):
-        o = select_order(scree[:, g], tau)
-        sats[g] = o == grid.p_max
-        orders[g] = _first_flattening(scree[:, g]) if sats[g] else o
-    joint = scree[orders - 1, np.arange(n_pairs)]
+    orders, sats = _blffix_orders(scree, tau)
+    joint = scree[orders - 1, np.arange(scree.shape[1])]
     best = int(np.argmax(joint))
     chosen = pair(best)
     run = run_lattice(x, int(orders[best]), chosen, prior)

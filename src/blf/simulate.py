@@ -10,6 +10,7 @@ generator rejects a trajectory that explodes (|x_t| > 1e12).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,25 +43,35 @@ class SimulatedProcess:
 
 def _simulate(coeffs: np.ndarray, sigma2: np.ndarray,
               rng: np.random.Generator) -> SimulatedProcess:
-    """Drive x_t = sum_m coeffs[t, m] x_{t-m} + N(0, sigma2[t]) with warm-up."""
+    """Drive x_t = sum_m coeffs[t, m] x_{t-m} + N(0, sigma2[t]) with warm-up.
+
+    The recursion runs on Python floats, whose arithmetic is the same IEEE
+    double arithmetic as numpy's scalars: each step adds c_m x_{t-m} for
+    m = 1, 2, ... (lags before the start are absent) to 0.0 and then the
+    shock sd_t eps_t.
+    """
     T, P = coeffs.shape
     eps = rng.standard_normal(BURN_IN + T)
-    buf = np.zeros(BURN_IN + T)
     full_coeffs = np.vstack([np.tile(coeffs[0], (BURN_IN, 1)), coeffs])
     full_sd = np.sqrt(np.concatenate([np.full(BURN_IN, sigma2[0]), sigma2]))
-    for i in range(BURN_IN + T):
+    shocks = (full_sd * eps).tolist()
+    xs = []
+    lags = deque(maxlen=P)  # x_{t-1}, x_{t-2}, ...: at most P, newest first
+    for i, (row, shock) in enumerate(zip(full_coeffs.tolist(), shocks)):
         past = 0.0
-        for m in range(1, P + 1):
-            if i - m >= 0:
-                past += full_coeffs[i, m - 1] * buf[i - m]
-        buf[i] = past + full_sd[i] * eps[i]
-        if abs(buf[i]) > EXPLOSION_LIMIT:
+        for c, lag in zip(row, lags):
+            past += c * lag
+        x = past + shock
+        if abs(x) > EXPLOSION_LIMIT:
             if i < BURN_IN:
                 raise ValueError(f"simulated series exploded during warm-up step "
                                  f"{i + 1} of {BURN_IN} (before t=1)")
             raise ValueError(f"simulated series exploded at t={i - BURN_IN + 1}")
+        xs.append(x)
+        lags.appendleft(x)
     return SimulatedProcess(
-        x=buf[BURN_IN:], true_coeffs=coeffs, true_sigma2=np.asarray(sigma2, float))
+        x=np.array(xs[BURN_IN:]), true_coeffs=coeffs,
+        true_sigma2=np.asarray(sigma2, float))
 
 
 def gen_tvar2(T: int = 1024, seed: int | None = None) -> SimulatedProcess:
@@ -85,18 +96,28 @@ def roots_to_coeffs(moduli, thetas) -> np.ndarray:
     a_j = exp(2 pi i theta_j) / A_j, i.e. 1 - 2 cos(2 pi theta_j)/A_j B
     + B^2/A_j^2.  The expanded polynomial 1 - sum_m c_m B^m gives the
     coefficients c_m of an AR(2p) model.
+
+    ``thetas`` may carry leading axes: angles of shape (..., p) with p
+    moduli give coefficients of shape (..., 2p), every polynomial expanded
+    at once by three shifted multiply-adds per factor.
     """
     moduli = np.asarray(moduli, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    if moduli.shape != thetas.shape or moduli.ndim != 1:
+    if moduli.ndim != 1 or thetas.ndim < 1 or thetas.shape[-1] != len(moduli):
         raise ValueError("moduli and thetas must be equal-length 1-D sequences")
     if not (np.all(np.isfinite(moduli)) and np.all(np.isfinite(thetas))):
         raise ValueError("moduli and thetas must be finite")
-    poly = np.array([1.0])
-    for A, th in zip(moduli, thetas):
-        factor = np.array([1.0, -2.0 * np.cos(2.0 * np.pi * th) / A, 1.0 / A**2])
-        poly = np.convolve(poly, factor)
-    return -poly[1:]
+    poly = np.ones(thetas.shape[:-1] + (1,))
+    for j, A in enumerate(moduli.tolist()):
+        lag1 = (-2.0 * np.cos(2.0 * np.pi * thetas[..., j]) / A)[..., None]
+        nxt = np.zeros(poly.shape[:-1] + (poly.shape[-1] + 2,))
+        # Each new coefficient sums B^2, B and 1 times the old ones in that
+        # order, the order of np.convolve(poly, factor).
+        nxt[..., 2:] = (1.0 / A**2) * poly
+        nxt[..., 1:-1] += lag1 * poly
+        nxt[..., :-2] += poly
+        poly = nxt
+    return -poly[..., 1:]
 
 
 def gen_tvar6(T: int = 1024, seed: int | None = None) -> SimulatedProcess:
@@ -111,10 +132,7 @@ def gen_tvar6(T: int = 1024, seed: int | None = None) -> SimulatedProcess:
     t = np.arange(1, T + 1)
     drift = (0.1 / (T - 1)) * t
     thetas = np.column_stack([0.05 + drift, np.full(T, 0.25), 0.45 - drift])
-    moduli = np.array([1.1, 1.12, 1.1])
-    coeffs = np.empty((T, 6))
-    for i in range(T):
-        coeffs[i] = roots_to_coeffs(moduli, thetas[i])
+    coeffs = roots_to_coeffs([1.1, 1.12, 1.1], thetas)
     return _simulate(coeffs, np.ones(T), np.random.default_rng(seed))
 
 

@@ -4,12 +4,15 @@ These deliberately re-derive results through routes the library does not
 use: batch conjugate algebra instead of sequential updating, the
 covariance-form filter step by step instead of the information-form scan,
 the classical constant-coefficient recursion instead of the time-varying
-one, the time-varying one out of place instead of in place, and posterior
-moments of whole chunks instead of time blocks.
+one, the time-varying one out of place instead of in place, posterior
+moments of whole chunks instead of time blocks, the AR recursion on numpy
+scalars instead of Python floats, and the order rules one scree column at
+a time instead of in one array pass.
 """
 
 import numpy as np
 
+from blf.simulate import BURN_IN, EXPLOSION_LIMIT
 from blf.spectrum import _transfer_power
 
 
@@ -164,3 +167,39 @@ def sequential_block_draw(fs, rng, size, lows):
             theta[t] = gamma * theta[t + 1] + (1.0 - gamma) * fs.mu[t] + sd * z[j]
         hi = lo
     return theta, 1.0 / prec
+
+
+def scalar_simulate(coeffs, sigma2, rng):
+    """The warm-up AR recursion of ``simulate._simulate`` on numpy scalars,
+    in place in one float64 buffer: x_t = sum_m c_m x_{t-m} + sd_t eps_t,
+    with the same explosion checks.  Returns the retained series."""
+    T, P = coeffs.shape
+    eps = rng.standard_normal(BURN_IN + T)
+    buf = np.zeros(BURN_IN + T)
+    full_coeffs = np.vstack([np.tile(coeffs[0], (BURN_IN, 1)), coeffs])
+    full_sd = np.sqrt(np.concatenate([np.full(BURN_IN, sigma2[0]), sigma2]))
+    for i in range(BURN_IN + T):
+        past = 0.0
+        for m in range(1, P + 1):
+            if i - m >= 0:
+                past += full_coeffs[i, m - 1] * buf[i - m]
+        buf[i] = past + full_sd[i] * eps[i]
+        if abs(buf[i]) > EXPLOSION_LIMIT:
+            raise ValueError(f"simulated series exploded at step {i + 1}")
+    return buf[BURN_IN:]
+
+
+def column_orders(scree, tau):
+    """``fit_blffix``'s order and saturation flag of one scree column, by
+    loops: the first m with a percent change below ``tau`` gives order
+    m - 1; when none does, the first m - 1 where the percent change stops
+    falling, else the scree length."""
+    scree = [float(v) for v in scree]
+    pct = [abs((b - a) / a) * 100.0 for a, b in zip(scree, scree[1:])]
+    for i, p in enumerate(pct):
+        if p < tau:
+            return i + 1, False
+    for i in range(len(pct) - 1):
+        if pct[i] <= pct[i + 1]:
+            return i + 1, True
+    return len(scree), True

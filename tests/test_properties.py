@@ -7,8 +7,9 @@ scale by exactly 4^j.  Batch filtering, smoothing and lattice stages must
 equal the scalar runs column by column, and so must the predictive log
 likelihood, also for grid-shaped discounts and through the searches'
 time-blocked scorer.  A lower-order lattice is the first stages of a
-higher-order one, bit for bit.  Every CSV writer/reader pair gives back
-finite float64 values bit for bit.
+higher-order one, bit for bit.  blffix's order rule over a whole scree
+in one array pass gives each column's order and saturation flag.  Every
+CSV writer/reader pair gives back finite float64 values bit for bit.
 """
 
 from dataclasses import fields
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from blf import dlm  # noqa: E402
 from blf.dlm import (  # noqa: E402
@@ -39,11 +40,20 @@ from blf.io import (  # noqa: E402
     write_spectrogram_csv,
 )
 from blf.lattice import StageResult, run_lattice, run_stage  # noqa: E402
-from blf.selection import SearchGrid, fit_blfdyn, fit_blffix, fit_fixed  # noqa: E402
+from blf.selection import (  # noqa: E402
+    SearchGrid,
+    _blffix_orders,
+    _first_flattening,
+    _pct_change,
+    fit_blfdyn,
+    fit_blffix,
+    fit_fixed,
+    select_order,
+)
 from blf.simulate import gen_tvar2, gen_tvar6  # noqa: E402
 from blf.spectrum import Spectrogram, default_freq_grid  # noqa: E402
 from blf.tvar import TvarFit, path_sampler  # noqa: E402
-from helpers import whole_paths  # noqa: E402
+from helpers import column_orders, whole_paths  # noqa: E402
 
 GRID = SearchGrid(gammas=(0.9, 0.95, 1.0), deltas=(0.9, 0.95, 1.0), p_max=4)
 PAIRS = [DiscountPair(0.95, 1.0), DiscountPair(1.0, 1.0), DiscountPair(1.0, 0.9),
@@ -230,6 +240,48 @@ def _same_bits(a, b) -> bool:
     """Equal shapes and bytes, so -0.0 differs from 0.0."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Scree cells: dyadic values, whose percent changes tie exactly (-64 ->
+# -32 -> -16 changes by 50% twice), mixed with arbitrary nonzero floats.
+DYADIC = st.sampled_from([-64.0, -48.0, -32.0, -24.0, -16.0, -12.0, -8.0, -6.0,
+                          -4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 4.0])
+scree_cells = st.one_of(DYADIC, st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def screes(draw):
+    """A (p, n) scree and a tau, drawn from a few fixed values and the
+    scree's own nonzero percent changes, so some changes sit exactly at
+    tau and, at the smallest change, every column may saturate."""
+    p, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    scree = np.array(draw(st.lists(scree_cells, min_size=p * n, max_size=p * n)))
+    scree = scree.reshape(p, n)
+    pct = _pct_change(scree)
+    taus = [0.5, 25.0, 50.0] + sorted(set(pct[pct > 0].tolist()))
+    return scree, draw(st.sampled_from(taus))
+
+
+@given(case=screes())
+@example(case=(np.array([[-64.0, -64.0, -64.0], [-32.0, -32.0, -32.0],
+                         [-16.0, -8.0, -24.0], [-8.0, -4.0, -21.0]]), 12.5))
+@example(case=(np.array([[-64.0, -64.0], [-32.0, -48.0], [-16.0, -36.0]]), 25.0))
+@example(case=(np.array([[-3.0, 2.0, -1.0]]), 0.5))
+@example(case=(np.array([[-4.0, -4.0], [-2.0, -4.0]]), 50.0))
+def test_blffix_orders_equal_column_rules(case):
+    """Per column, the one-pass orders and saturation flags are the loop
+    oracle's and those of select_order and _first_flattening on the column
+    alone; the examples cover ties, changes exactly at tau, every column
+    saturated, and screes of one and two stages."""
+    scree, tau = case
+    orders, saturated = _blffix_orders(scree, tau)
+    assert orders.shape == saturated.shape == scree.shape[1:]
+    for j in range(scree.shape[1]):
+        col = scree[:, j]
+        assert (int(orders[j]), bool(saturated[j])) == column_orders(col, tau)
+        rule = select_order(col, tau)
+        assert bool(saturated[j]) == (rule == len(col))
+        assert orders[j] == (int(_first_flattening(col)) if saturated[j] else rule)
 
 
 @given(values=cell_lists, width=st.integers(1, 4))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from blf.bench import GENERATORS
 from blf.simulate import (
+    _simulate,
     gen_piecewise,
     gen_tvar2,
     gen_tvar6,
@@ -14,6 +16,7 @@ from blf.simulate import (
 from blf.spectrum import default_freq_grid
 from blf.tvar import TvarFit
 from blf.spectrum import tvar_spectrum
+from helpers import scalar_simulate
 
 
 class TestTvar2:
@@ -79,6 +82,73 @@ class TestRootsToCoeffs:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             roots_to_coeffs([np.inf], [0.2])
+
+    @staticmethod
+    def _tvar6_angles(T):
+        drift = (0.1 / (T - 1)) * np.arange(1, T + 1)
+        return np.column_stack([0.05 + drift, np.full(T, 0.25), 0.45 - drift])
+
+    @pytest.mark.parametrize("T", [7, 100, 1024])
+    def test_grid_equals_row_calls(self, T):
+        """A (T, 3) angle grid expands in one call to the rows' 1-D
+        expansions within 2 ulp of each row's largest coefficient: only
+        the rounding of a sum may differ, where np.convolve fuses one."""
+        moduli = [1.1, 1.12, 1.1]
+        rng = np.random.default_rng(T)
+        for thetas in (self._tvar6_angles(T), rng.uniform(-1.0, 1.0, (T, 3))):
+            grid = roots_to_coeffs(moduli, thetas)
+            rows = np.array([roots_to_coeffs(moduli, th) for th in thetas])
+            assert grid.shape == (T, 6)
+            ulp = np.spacing(np.abs(rows).max(axis=1, keepdims=True))
+            assert np.all(np.abs(grid - rows) <= 2.0 * ulp)
+
+    def test_leading_axes(self):
+        thetas = np.random.default_rng(0).uniform(0.0, 0.5, (4, 5, 2))
+        grid = roots_to_coeffs([1.2, 1.5], thetas)
+        assert grid.shape == (4, 5, 4)
+        np.testing.assert_allclose(grid[2, 3], roots_to_coeffs([1.2, 1.5], thetas[2, 3]),
+                                   rtol=0, atol=1e-15)
+
+    def test_grid_rejects_unequal_lengths_and_nonfinite(self):
+        thetas = self._tvar6_angles(16)
+        for moduli, th in (([1.1, 1.12], thetas), ([1.1, 1.12, 1.1], thetas[:, :2]),
+                           ([[1.1, 1.12, 1.1]], thetas), ([1.1], 0.2)):
+            with pytest.raises(ValueError, match="equal-length"):
+                roots_to_coeffs(moduli, th)
+        for bad in (np.nan, np.inf):
+            th = thetas.copy()
+            th[9, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                roots_to_coeffs([1.1, 1.12, 1.1], th)
+
+
+class TestRecursion:
+    """The AR recursion on Python floats gives the numpy-scalar loop's bits."""
+
+    @pytest.mark.parametrize("name", ["tvar2", "piecewise", "tvvar"])
+    @pytest.mark.parametrize("T", [8, 257, 1024])
+    def test_generators_equal_scalar_loop(self, name, T):
+        for seed in (0, 5, 91):
+            proc = GENERATORS[name](T, seed=seed)
+            oracle = scalar_simulate(proc.true_coeffs, proc.true_sigma2,
+                                     np.random.default_rng(seed))
+            assert np.array_equal(proc.x, oracle)
+
+    @pytest.mark.parametrize("T", [7, 300, 2048])
+    def test_tvar6_coefficients_equal_scalar_loop(self, T):
+        coeffs = gen_tvar6(T, seed=0).true_coeffs
+        for seed in (1, 2, 3):
+            got = _simulate(coeffs, np.ones(T), np.random.default_rng(seed))
+            oracle = scalar_simulate(coeffs, np.ones(T), np.random.default_rng(seed))
+            assert np.array_equal(got.x, oracle)
+            assert got.true_coeffs is coeffs
+
+    def test_zero_order_is_the_shocks(self):
+        T = 50
+        sigma2 = np.linspace(0.5, 2.0, T)
+        got = _simulate(np.zeros((T, 0)), sigma2, np.random.default_rng(4))
+        eps = np.random.default_rng(4).standard_normal(200 + T)[200:]
+        assert np.array_equal(got.x, np.sqrt(sigma2) * eps)
 
 
 class TestTvar6:
