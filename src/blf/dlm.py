@@ -28,8 +28,8 @@ regression observes only the steps it has.
 A grid search reads only each pair's predictive log likelihood and the
 forecast errors, so it scores through ``_score``: the recurrences at the
 width of the series and gamma run over the whole series as in the filter,
-the degrees of freedom are the cached rows of the Student-t normalizer,
-and kappa and the density run as one chunked sweep.  The series is split
+the degrees of freedom are rows of one cached (n, deltas) array, and
+kappa and the density run as one chunked sweep.  The series is split
 into chunks of K consecutive steps, with one row per chunk at the full
 batch width within a fixed byte budget: a first pass gives each chunk's
 local kappa, ``_scan`` carries the chunk ends, and a second pass adds up
@@ -328,42 +328,55 @@ def _smooth_mean(mu: np.ndarray, gamma) -> np.ndarray:
     return _backward(gamma, (1.0 - gamma) * mu[:-1], mu[-1])
 
 
-@functools.lru_cache(maxsize=64)
-def _t_normalizer(v0: float, delta: float, size: int):
+def _df(v0: float, deltas: tuple, size: int) -> np.ndarray:
     """The degrees of freedom v_t = delta v_{t-1} + 1 from v_0 = v0 for
-    t = 0..size-1, and the prefix sums of lgamma((v_t + 1)/2) - lgamma(v_t/2)
-    over them: entry k sums t < k, for k = 0..size.  The df come from the
+    t = 0..size-1, one column per delta in ``deltas``.  They come from the
     filter's own kernel, whose first rows do not depend on the scan's
-    length, so they are the filter's ``v`` bit for bit."""
-    df = _scan(delta, np.ones(size - 1), v0)
+    length and whose columns do not depend on the width, so they are the
+    filter's ``v`` bit for bit."""
+    return _scan(np.array(deltas), np.ones((size - 1, 1)), v0)
+
+
+@functools.lru_cache(maxsize=64)
+def _t_normalizer(v0: float, delta: float, size: int) -> np.ndarray:
+    """The prefix sums of lgamma((v_t + 1)/2) - lgamma(v_t/2) over the df
+    of :func:`_df` for one delta: entry k sums t < k, for k = 0..size."""
     norm = np.zeros(size + 1)
     np.cumsum([math.lgamma((u + 1.0) / 2.0) - math.lgamma(u / 2.0)
-               for u in df.tolist()], out=norm[1:])
-    df.flags.writeable = norm.flags.writeable = False
-    return df, norm
+               for u in _df(v0, (delta,), size).ravel().tolist()], out=norm[1:])
+    norm.flags.writeable = False
+    return norm
 
 
-def _normalizer_entries(v0: float, delta: np.ndarray, n: int) -> list:
-    """The cache entries of :func:`_t_normalizer` covering steps 1..n, one
-    per delta in ``delta.ravel()`` order."""
-    # n rounded up to a power of two: every stage of a search shares an entry.
-    size = 1 << (n - 1).bit_length()
-    return [_t_normalizer(v0, dl, size) for dl in delta.ravel().tolist()]
+@functools.lru_cache(maxsize=8)
+def _t_df(v0: float, deltas: tuple, size: int) -> np.ndarray:
+    """:func:`_df` of a search's deltas, kept for the scorer to slice: the
+    one stored copy of the df rows."""
+    df = _df(v0, deltas, size)
+    df.flags.writeable = False
+    return df
+
+
+def _size(n: int) -> int:
+    """n rounded up to a power of two: every stage of a search shares the
+    cache entries of that size."""
+    return 1 << (n - 1).bit_length()
 
 
 def _summed_normalizer(v0: float, delta: np.ndarray, n: int) -> np.ndarray:
     """The normalizers of steps 1..n summed from the cache, one per delta,
     of the shape of ``delta``."""
-    entries = _normalizer_entries(v0, delta, n)
-    return np.array([sums[n] for _, sums in entries]).reshape(delta.shape)
+    size = _size(n)
+    return np.array([_t_normalizer(v0, dl, size)[n]
+                     for dl in delta.ravel().tolist()]).reshape(delta.shape)
 
 
 def _normalizer(v0: float, delta: np.ndarray, n: int):
-    """``(df, norm)`` of steps 1..n from the cache, one entry per delta: the
-    df v_0..v_{n-1}, of shape ``(n,) + delta.shape``, and the summed
-    normalizers, of the shape of ``delta``."""
-    df = np.stack([col[:n] for col, _ in _normalizer_entries(v0, delta, n)], axis=-1)
-    return df.reshape((n,) + delta.shape), _summed_normalizer(v0, delta, n)
+    """``(df, norm)`` of steps 1..n from the cache: the df v_0..v_{n-1}, a
+    view of shape ``(n,) + delta.shape``, and the summed normalizers, of
+    the shape of ``delta``."""
+    df = _t_df(v0, tuple(delta.ravel().tolist()), _size(n))
+    return df[:n].reshape((n,) + delta.shape), _summed_normalizer(v0, delta, n)
 
 
 # Bytes of one slab of chunk rows at the full batch width in ``_score``: at
@@ -443,8 +456,8 @@ def _score(y, x, prior: NIGPrior, d: DiscountPair):
     prior, d)``, with no array at the full batch width that grows with n.
 
     e and g run over the whole series at the width of their inputs, as in
-    the filter, and so does b = e^2/g; the df are the cached rows of the
-    normalizer.  The full-width work, kappa and the density terms, runs as
+    the filter, and so does b = e^2/g; the df are a view of the cached df
+    of the grid's deltas (:func:`_t_df`).  The full-width work, kappa and the density terms, runs as
     one chunked sweep (Blelloch 1990): the n steps are nc chunks of K
     consecutive steps (:func:`_chunks`), and each pass steps through the K
     steps of every chunk at once on (nc, width) slabs.

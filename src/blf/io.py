@@ -143,11 +143,12 @@ def read_coeffs_csv(path) -> np.ndarray:
 
 def write_spectrogram_csv(path, spg: Spectrogram, log_cells: bool = True) -> None:
     """First row: the frequency grid.  Then one row per time point: the
-    time index followed by the cells (natural-log density by default)."""
-    values = np.log(spg.values) if log_cells else spg.values
+    time index followed by the cells (natural-log density by default).
+    The log is taken one row at a time, so no surface-sized array is made."""
+    rows = (np.log(row) if log_cells else row for row in spg.values)
     _write_csv(path, spg.freqs.tolist(),
                ([t, *row.tolist()] for t, row in
-                zip(spg.times.astype(int).tolist(), values)))
+                zip(spg.times.astype(int).tolist(), rows)))
 
 
 def read_spectrogram_csv(path, log_cells: bool = True) -> Spectrogram:

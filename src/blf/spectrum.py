@@ -96,9 +96,27 @@ class Spectrogram:
         )
 
 
-# Bytes of cos and sin parts per time block of spectrum_posterior, 16 per
-# (draw, t, freq) cell: at most 10 steps at 64 draws x 101 frequencies.
+# Bytes of cos and sin parts per piece of rows of a surface pass, 16 per
+# cell: at most 10 steps at 64 draws x 101 frequencies in the posterior,
+# 648 time steps at 101 frequencies in the plug-in spectrum.
 _BLOCK_BYTES = 1 << 20
+
+
+def _pieces(n: int, cells: int) -> list[slice]:
+    """The n rows of a surface pass as equal pieces of consecutive rows, as
+    few as keep the cos and sin parts of each piece, 16 bytes per cell at
+    ``cells`` cells per row, within ``_BLOCK_BYTES``, and each at least two
+    rows long when n >= 2.  numpy multiplies a one-row piece by another
+    BLAS routine (gemv, not gemm), whose sums can differ in the last bit;
+    pieces of two rows or more give the bits of the whole pass on grids of
+    up to about 190 frequencies.  On wider grids OpenBLAS rounds the last
+    columns of a product by its number of rows, so a surface there moves
+    in the last bit with the piece, as the whole surface's rows move with
+    T and with the BLAS thread count.  The longest piece has
+    ceil(n / len(pieces)) rows."""
+    step = max(1, _BLOCK_BYTES // (16 * cells))
+    k = max(1, min(-(-n // step), n // 2))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _tables(P: int, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,13 +146,33 @@ def tvar_spectrum(fit: TvarFit, freqs=None) -> Spectrogram:
     """Evaluate the time-varying spectral density of a fit on a grid.
 
     An exact unit root at some (t, w) yields +inf in that cell rather than
-    an error; ``ase`` refuses such surfaces downstream.
+    an error; ``ase`` refuses such surfaces downstream.  The fit's
+    ``coeffs`` must be 2-D (T, P) and its ``sigma2`` of shape (T,); any
+    other shapes raise a ValueError that names both, before any work.
+
+    The surface is evaluated over pieces of time steps (``_pieces``: at
+    least two steps, cos and sin parts within ``_BLOCK_BYTES``) into one
+    reused work array, and each piece is divided into its own output rows,
+    so nothing beyond the surface grows with T; the bits are those of the
+    whole surface at once, on grids of up to about 190 frequencies (see
+    ``_pieces``).
     """
     freqs = default_freq_grid() if freqs is None else _check_grid(freqs)
+    coeffs = np.asarray(fit.coeffs, dtype=float)
     sigma2 = np.asarray(fit.sigma2, dtype=float)
+    if coeffs.ndim != 2 or sigma2.shape != coeffs.shape[:1]:
+        raise ValueError(f"a fit needs coeffs of shape (T, P) and sigma2 of "
+                         f"shape (T,), got {coeffs.shape} and {sigma2.shape}")
+    T, L = len(coeffs), len(freqs)
+    values = np.empty((T, L))
+    pieces = _pieces(T, L)
+    work = np.empty(2 * -(-T // len(pieces)) * L)
+    tables = _tables(coeffs.shape[1], freqs)
     with np.errstate(divide="ignore"):
-        values = sigma2[:, None] / _transfer_power(fit.coeffs, freqs)
-    T = fit.coeffs.shape[0]
+        for rows in pieces:
+            np.divide(sigma2[rows, None],
+                      _transfer_power(coeffs[rows], None, work, tables),
+                      out=values[rows])
     return Spectrogram(times=np.arange(1, T + 1), freqs=freqs, values=values)
 
 
@@ -142,19 +180,41 @@ def ase(est: Spectrogram, truth: Spectrogram) -> float:
     """Average squared error between log spectra over the shared grid.
 
     (T L)^{-1} sum_t sum_l (log est - log truth)^2, natural logarithm.
+
+    Both surfaces are checked, est first, and the squared log ratio is
+    written piece by piece (``_pieces``) into one (T, L) buffer, whose mean
+    is taken at once, so the value has the bits of the whole-array formula.
+
+    Raises
+    ------
+    ValueError
+        If the grids differ, if the grid has no time point, or if a cell is
+        not finite and positive: the message names the surface and the
+        first such (t, w).
     """
     if not est.same_grid(truth):
         raise ValueError("spectrogram grids do not match")
+    T, L = est.values.shape
+    if T == 0:
+        raise ValueError("spectrogram grid is empty: no time points")
+    pieces = _pieces(T, L)
     for name, spg in (("est", est), ("truth", truth)):
-        bad = ~np.isfinite(spg.values) | (spg.values <= 0)
-        if np.any(bad):
-            i, l = np.argwhere(bad)[0]
-            raise ValueError(
-                f"{name} surface not finite/positive at t={spg.times[i]}, "
-                f"freq={spg.freqs[l]}"
-            )
-    diff = np.log(est.values) - np.log(truth.values)
-    return float(np.mean(diff * diff))
+        for rows in pieces:
+            cells = spg.values[rows]
+            bad = ~np.isfinite(cells) | (cells <= 0)
+            if np.any(bad):
+                i, l = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"{name} surface not finite/positive at "
+                    f"t={spg.times[rows.start + i]}, freq={spg.freqs[l]}"
+                )
+    sq = np.empty((T, L))
+    work = np.empty(-(-T // len(pieces)) * L)
+    for rows in pieces:
+        diff = np.log(est.values[rows], out=sq[rows])
+        diff -= np.log(truth.values[rows], out=work[:diff.size].reshape(diff.shape))
+        np.square(diff, out=diff)
+    return float(np.mean(sq))
 
 
 _BLOCK_ORDER = "draw_paths must yield time blocks from the last back to the first"
@@ -209,12 +269,8 @@ def _merge_block(pool, works, start, coeffs, sigma2, tables, mean_log, m2,
     whose density is not finite, or None."""
     size, B = coeffs.shape[:2]
     L = tables[0].shape[1]
-    # Equal pieces of at least two steps where B allows: numpy multiplies a
-    # one-row piece by another BLAS routine (gemv, not gemm), whose sums can
-    # differ in the last bit.
-    step = max(1, _BLOCK_BYTES // (16 * size * L))
-    n = max(1, min(-(-B // step), B // 2))
-    pieces = [slice(B * i // n, B * (i + 1) // n) for i in range(n)]
+    pieces = _pieces(B, size * L)
+    n = len(pieces)
     lanes = min(len(works), n)
     # Work arrays live across blocks: a fresh one per piece faults anew.
     need = 2 * size * -(-B // n) * L

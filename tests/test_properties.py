@@ -8,8 +8,10 @@ equal the scalar runs column by column, and so must the predictive log
 likelihood, also for grid-shaped discounts and through the searches'
 time-blocked scorer.  A lower-order lattice is the first stages of a
 higher-order one, bit for bit.  blffix's order rule over a whole scree
-in one array pass gives each column's order and saturation flag.  Every
-CSV writer/reader pair gives back finite float64 values bit for bit.
+in one array pass gives each column's order and saturation flag.  The
+plug-in spectrum and ASE over pieces of rows equal their whole-surface
+formulas bit for bit.  Every CSV writer/reader pair gives back finite
+float64 values bit for bit.
 """
 
 from dataclasses import fields
@@ -21,7 +23,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from blf import dlm  # noqa: E402
+from blf import dlm, spectrum  # noqa: E402
 from blf.dlm import (  # noqa: E402
     DiscountPair,
     FilterState,
@@ -51,7 +53,13 @@ from blf.selection import (  # noqa: E402
     select_order,
 )
 from blf.simulate import gen_tvar2, gen_tvar6  # noqa: E402
-from blf.spectrum import Spectrogram, default_freq_grid  # noqa: E402
+from blf.spectrum import (  # noqa: E402
+    Spectrogram,
+    _transfer_power,
+    ase,
+    default_freq_grid,
+    tvar_spectrum,
+)
 from blf.tvar import TvarFit, path_sampler  # noqa: E402
 from helpers import column_orders, whole_paths  # noqa: E402
 
@@ -282,6 +290,32 @@ def test_blffix_orders_equal_column_rules(case):
         rule = select_order(col, tau)
         assert bool(saturated[j]) == (rule == len(col))
         assert orders[j] == (int(_first_flattening(col)) if saturated[j] else rule)
+
+
+@given(T=st.integers(1, 300), P=st.integers(1, 15), seed=seeds,
+       rows=st.integers(1, 300), step=st.sampled_from([0.5, 0.05, 0.01, 0.005]))
+def test_pieces_give_whole_surface_bits(T, P, seed, rows, step):
+    """With the block budget patched to 1..T rows, so that pieces hold 2..T
+    rows (a budget of one row still gives pieces of two), the plug-in
+    spectrum equals sigma^2 / |A|^2 of the whole surface and ASE
+    the mean squared log ratio of the whole arrays, bit for bit, and no
+    piece has one row.  The grids have up to 101 frequencies: OpenBLAS
+    picks its gemm kernel by matrix size and rounds the last columns of
+    wider products (from about 193 frequencies) by the rows it is given,
+    at one piece or many alike."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-0.5, 0.5, size=(2, T, P)) / P
+    sigma2 = rng.uniform(0.5, 2.0, size=(2, T))
+    freqs = default_freq_grid(step)
+    rows = min(rows, T)
+    with mock.patch.object(spectrum, "_BLOCK_BYTES", 16 * len(freqs) * rows):
+        pieces = spectrum._pieces(T, len(freqs))
+        a, b = (tvar_spectrum(TvarFit(c, s), freqs) for c, s in zip(coeffs, sigma2))
+        score = ase(a, b)
+    assert T < 2 or min(p.stop - p.start for p in pieces) >= 2
+    whole = [s[:, None] / _transfer_power(c, freqs) for c, s in zip(coeffs, sigma2)]
+    assert _same_bits(a.values, whole[0]) and _same_bits(b.values, whole[1])
+    assert _same_bits(score, np.mean((np.log(whole[0]) - np.log(whole[1])) ** 2))
 
 
 @given(values=cell_lists, width=st.integers(1, 4))

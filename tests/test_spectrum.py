@@ -80,6 +80,19 @@ class TestTvarSpectrum:
         assert np.all(np.isinf(spg.values[:, 0]))
         assert np.all(np.isfinite(spg.values[:, 1]))
 
+    @pytest.mark.parametrize("coeffs, sigma2, shapes", [
+        (np.zeros((5, 2)), np.ones(1), r"\(5, 2\) and \(1,\)"),
+        (np.zeros(5), np.ones(5), r"\(5,\) and \(5,\)"),
+        (np.zeros((5, 2)), np.ones((5, 1)), r"\(5, 2\) and \(5, 1\)"),
+        (np.zeros((1, 5, 2)), np.ones(5), r"\(1, 5, 2\) and \(5,\)"),
+    ])
+    def test_rejects_fit_shapes(self, coeffs, sigma2, shapes):
+        """coeffs must be (T, P) and sigma2 (T,): a one-entry sigma2 is not
+        broadcast over time, and 1-D coeffs are not read as one time with
+        P = T lags.  The message names both shapes."""
+        with pytest.raises(ValueError, match=rf"\(T, P\).*\(T,\), got {shapes}"):
+            tvar_spectrum(TvarFit(coeffs, sigma2))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             Spectrogram(times=[1], freqs=[0.2, 0.1], values=[[1.0, 1.0]])
@@ -205,6 +218,88 @@ class TestAse:
         bad = tvar_spectrum(const_fit([1.0], T=3), np.array([0.0, 0.1]))
         with pytest.raises(ValueError, match=r"t=1.*freq=0"):
             ase(bad, good)
+
+    def test_rejects_cell_of_a_later_piece_with_coordinates(self, monkeypatch):
+        """Over pieces of two steps, a bad cell in the third piece is named
+        by its own time, and est is checked before truth."""
+        monkeypatch.setattr(spectrum, "_BLOCK_BYTES", 16 * 2 * 2)
+        freqs = np.array([0.0, 0.1])
+        good = tvar_spectrum(const_fit([0.5], T=8), freqs)
+        values = good.values.copy()
+        values[5, 1] = 0.0
+        bad = Spectrogram(good.times, freqs, values)
+        with pytest.raises(ValueError, match=r"truth surface .*t=6, freq=0.1"):
+            ase(good, bad)
+        values = good.values.copy()
+        values[7, 0] = -1.0
+        with pytest.raises(ValueError, match=r"est surface .*t=8, freq=0.0"):
+            ase(Spectrogram(good.times, freqs, values), bad)
+
+    def test_rejects_empty_grid(self):
+        """Two surfaces with no time point have no mean: a ValueError, not
+        NaN with numpy's empty-slice RuntimeWarning."""
+        empty = Spectrogram(np.arange(0), default_freq_grid(), np.empty((0, 101)))
+        with pytest.raises(ValueError, match="grid is empty"):
+            ase(empty, empty)
+
+
+class TestPieces:
+    """Every surface pass runs over ``spectrum._pieces``: equal pieces of
+    consecutive rows whose cos and sin parts fit ``_BLOCK_BYTES``, and at
+    least two rows each, since a one-row product goes to gemv, whose sums
+    can differ from gemm's in the last bit."""
+
+    def test_pieces_cover_the_rows_in_order_with_two_rows_or_more(self, monkeypatch):
+        for cells, budget_rows in [(101, 648), (5, 1), (5, 3), (64 * 101, 1)]:
+            monkeypatch.setattr(spectrum, "_BLOCK_BYTES", 16 * cells * budget_rows)
+            for n in range(0, 301):
+                pieces = spectrum._pieces(n, cells)
+                assert pieces[0].start == 0 and pieces[-1].stop == n
+                assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
+                lengths = [p.stop - p.start for p in pieces]
+                assert max(lengths) - min(lengths) <= 1
+                assert max(lengths) == -(-n // len(pieces))
+                if n >= 2:
+                    assert min(lengths) >= 2, (n, cells, budget_rows)
+                    assert max(lengths) <= max(budget_rows, 3)
+
+    def test_default_budget_splits_a_long_surface(self):
+        """648 steps of 101 frequencies fit 1 MiB of cos and sin parts: a
+        T=4096 surface is seven pieces."""
+        assert len(spectrum._pieces(4096, 101)) == 7
+        assert len(spectrum._pieces(648, 101)) == 1
+
+    def test_tvar_spectrum_memory_is_the_surface_plus_a_piece(self):
+        """At T=16384 the traced peak stays below the (T, L) surface plus
+        two block budgets; the whole (2, T, L) cos and sin work array and
+        its divide peaked at 37.9 MiB for a 12.6 MiB surface."""
+        T, freqs = 16384, default_freq_grid()
+        rng = np.random.default_rng(29)
+        fit = TvarFit(rng.uniform(-0.2, 0.2, size=(T, 6)), rng.uniform(0.5, 2.0, size=T))
+        tracemalloc.start()
+        try:
+            spg = tvar_spectrum(fit, freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spg.values.nbytes + 2 * spectrum._BLOCK_BYTES
+
+    def test_ase_memory_is_one_surface_plus_a_piece(self):
+        """At T=16384 ase's traced peak beyond its inputs stays below one
+        (T, L) surface plus two block budgets; the whole-array formula
+        peaked at 26.8 MiB for 12.6 MiB surfaces."""
+        T, freqs = 16384, default_freq_grid()
+        rng = np.random.default_rng(30)
+        a, b = (Spectrogram(np.arange(1, T + 1), freqs,
+                            rng.uniform(0.5, 2.0, size=(T, len(freqs))))
+                for _ in range(2))
+        tracemalloc.start()
+        try:
+            ase(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.values.nbytes + 2 * spectrum._BLOCK_BYTES
 
 
 class TestSpectrumPosterior:
