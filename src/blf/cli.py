@@ -23,7 +23,6 @@ from . import __version__
 from .bench import GENERATORS, run_benchmark, summarize
 from .dlm import DiscountPair, NIGPrior, default_prior
 from .io import (
-    fmt,
     read_series_csv,
     write_fit_csv,
     write_replicates_csv,
@@ -31,6 +30,7 @@ from .io import (
     write_scree_csv,
     write_series_csv,
     write_spectrogram_csv,
+    write_summary,
     write_truth_csv,
 )
 from .selection import SearchGrid, _check_tau, fit_blfdyn, fit_blffix, fit_fixed
@@ -162,19 +162,7 @@ def cmd_benchmark(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_replicates_csv(out / "replicates.csv", records)
-    summary = summarize(records)
-    lines = []
-    for method, stats in summary.items():
-        lines.append(f"method: {method}")
-        lines.append(f"  n_ok: {stats['n_ok']}")
-        lines.append(f"  n_failed: {stats['n_failed']}")
-        mean = stats["mean_ase"]
-        sd = stats["sd_ase"]
-        lines.append(f"  mean_ase: {'' if mean is None else fmt(mean)}")
-        lines.append(f"  sd_ase: {'' if sd is None else fmt(sd)}")
-        lines.append("  orders: " + ",".join(f"{k}:{v}" for k, v in stats["orders"].items()))
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    print(write_summary(out / "summary.txt", summarize(records)), end="")
 
     if not any(r.ok for r in records):
         print("all replicates failed", file=sys.stderr)

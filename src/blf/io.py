@@ -30,6 +30,7 @@ __all__ = [
     "read_spectrogram_csv",
     "write_scree_csv",
     "write_replicates_csv",
+    "write_summary",
     "write_report",
     "read_report",
 ]
@@ -181,6 +182,26 @@ def write_replicates_csv(path, records) -> None:
     _write_csv(path, ["replicate", "seed", "method", "chosen_order", "ase", "status"],
                ([r.replicate, r.seed, r.method, r.chosen_order, r.ase,
                  "ok" if r.ok else f"failed: {r.error}"] for r in records))
+
+
+def write_summary(path, summary: dict) -> str:
+    """Write ``bench.summarize``'s per-method statistics as key-value text
+    and return that text.  A method with too few successful replicates has
+    empty ``mean_ase``/``sd_ase`` values."""
+    lines = []
+    for method, stats in summary.items():
+        mean, sd = stats["mean_ase"], stats["sd_ase"]
+        lines += [
+            f"method: {method}",
+            f"  n_ok: {stats['n_ok']}",
+            f"  n_failed: {stats['n_failed']}",
+            f"  mean_ase: {'' if mean is None else fmt(mean)}",
+            f"  sd_ase: {'' if sd is None else fmt(sd)}",
+            "  orders: " + ",".join(f"{k}:{v}" for k, v in stats["orders"].items()),
+        ]
+    text = "\n".join(lines) + "\n"
+    Path(path).write_text(text)
+    return text
 
 
 def write_report(path, report: SelectionReport, tau: float) -> None:

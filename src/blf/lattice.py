@@ -43,22 +43,25 @@ class StageResult:
 
     All arrays have length T (trailing batch axes allowed).  ``alpha`` /
     ``beta`` are the smoothed forward/backward partial-autocorrelation
-    paths, ``alpha_var`` / ``beta_var`` the scales of their marginal
-    t-posteriors, ``sf2`` / ``sb2`` the smoothed innovation-variance paths,
-    and ``f_next`` / ``b_next`` the prediction-error series for the next
-    stage.  ``loglik`` is the one-step predictive log likelihood of the
-    forward regression.  ``filter_f`` / ``filter_b`` are the two forward
+    paths, ``sf2`` the smoothed innovation-variance path of the forward
+    regression, and ``f_next`` / ``b_next`` the prediction-error series for
+    the next stage.  ``loglik`` is the one-step predictive log likelihood of
+    the forward regression.  ``filter_f`` / ``filter_b`` are the two forward
     passes, which carry the stage's discounts; each has T-m+1 rows, mapped
-    to the times 1..T by :func:`filter_rows`.
+    to the times 1..T by :func:`filter_rows`.  With
+    ``rows_f, rows_b = filter_rows(T, st.m)``, the scales of the PARCOR
+    paths' marginal t-posteriors and the backward variance path are
+    read-outs of the passes::
+
+        alpha_var = backward_smooth(st.filter_f).c[rows_f]
+        beta_var  = backward_smooth(st.filter_b).c[rows_b]
+        sb2       = backward_smooth(st.filter_b).s[rows_b]
     """
 
     m: int
     alpha: np.ndarray
     beta: np.ndarray
-    alpha_var: np.ndarray
-    beta_var: np.ndarray
     sf2: np.ndarray
-    sb2: np.ndarray
     f_next: np.ndarray
     b_next: np.ndarray
     loglik: float | np.ndarray
@@ -117,6 +120,10 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     Returns
     -------
     StageResult
+        The forward regression is smoothed in full, for ``alpha`` and
+        ``sf2``; the backward one only in its mean, for ``beta``.  The
+        scales and the backward variance are read-outs of the two passes
+        (see :class:`StageResult`).
     """
     f_prev = np.asarray(f_prev, dtype=float)
     b_prev = np.asarray(b_prev, dtype=float)
@@ -134,15 +141,13 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     if fs_f.kappa.shape[1:] != f_prev.shape[1:]:
         raise ValueError("batched discounts need a (T, G) series, one column each")
     sm_f = backward_smooth(fs_f)
-    sm_b = backward_smooth(fs_b)
+    mu_b = _smooth_mean(fs_b.mu, fs_b.gamma)
 
-    f_next, b_next = _next_errors(f_prev, b_prev, m, sm_f.mu, sm_b.mu)
+    f_next, b_next = _next_errors(f_prev, b_prev, m, sm_f.mu, mu_b)
     rows_f, rows_b = filter_rows(T, m)
     return StageResult(
         m=m,
-        alpha=sm_f.mu[rows_f], beta=sm_b.mu[rows_b],
-        alpha_var=sm_f.c[rows_f], beta_var=sm_b.c[rows_b],
-        sf2=sm_f.s[rows_f], sb2=sm_b.s[rows_b],
+        alpha=sm_f.mu[rows_f], beta=mu_b[rows_b], sf2=sm_f.s[rows_f],
         f_next=f_next, b_next=b_next,
         loglik=predictive_loglik(fs_f),
         filter_f=fs_f, filter_b=fs_b,

@@ -12,6 +12,8 @@ a time instead of in one array pass.
 
 import numpy as np
 
+from blf.dlm import backward_smooth
+from blf.lattice import filter_rows
 from blf.simulate import BURN_IN, EXPLOSION_LIMIT
 from blf.spectrum import _transfer_power
 
@@ -41,6 +43,16 @@ def readouts(fs):
     smoother uses for its final rows."""
     s = fs.kappa / fs.v
     return s, s / fs.P, s[:-1] * fs.g
+
+
+def stage_readouts(stage, T):
+    """The read-outs (alpha_var, beta_var, sb2) of a lattice
+    ``StageResult`` over times 1..T: the smoothed coefficient scales of its
+    forward and backward passes and the backward pass's smoothed variance,
+    each at the pass's row for every time."""
+    rows_f, rows_b = filter_rows(T, stage.m)
+    sm_b = backward_smooth(stage.filter_b)
+    return backward_smooth(stage.filter_f).c[rows_f], sm_b.c[rows_b], sm_b.s[rows_b]
 
 
 def covariance_filter(y, x, prior, gamma, delta):

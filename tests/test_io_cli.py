@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blf.bench import GENERATORS
+from blf.bench import GENERATORS, BenchmarkRecord, summarize
 from blf.cli import main
 from blf.io import (
     fmt,
@@ -19,6 +19,7 @@ from blf.io import (
     write_scree_csv,
     write_series_csv,
     write_spectrogram_csv,
+    write_summary,
 )
 from blf.selection import SearchGrid, fit_blfdyn
 from blf.simulate import gen_tvar2, gen_tvar6
@@ -188,6 +189,20 @@ class TestFitAndReportFiles:
         np.testing.assert_array_equal(back["scree"], report.scree)
         np.testing.assert_array_equal(
             back["gammas"], [d.gamma for d in report.per_stage_discounts])
+
+    def test_summary_bytes(self, tmp_path):
+        """One block per method, in name order: a method whose replicates
+        all failed has empty mean_ase and sd_ase values and no orders, and
+        the text returned is the text written."""
+        records = [BenchmarkRecord(0, 5, "blfdyn", 2, 0.25),
+                   BenchmarkRecord(1, 6, "blfdyn", 3, 0.5),
+                   BenchmarkRecord(0, 5, "blffix", None, None, error="boom")]
+        text = write_summary(tmp_path / "summary.txt", summarize(records))
+        assert (tmp_path / "summary.txt").read_bytes() == text.encode() == (
+            b"method: blfdyn\n  n_ok: 2\n  n_failed: 0\n  mean_ase: 0.375\n"
+            b"  sd_ase: 0.17677669529663689\n  orders: 2:1,3:1\n"
+            b"method: blffix\n  n_ok: 0\n  n_failed: 1\n  mean_ase: \n"
+            b"  sd_ase: \n  orders: \n")
 
     def test_scree_csv_shape(self, tmp_path, report):
         write_scree_csv(tmp_path / "s.csv", report)

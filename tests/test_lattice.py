@@ -1,13 +1,16 @@
 """Lattice stage tests: PARCOR recovery, residual identities, truncation."""
 
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from blf.dlm import DiscountPair, NIGPrior, backward_smooth, default_prior
 from blf.lattice import _stage_errors, run_lattice, run_stage
-from blf.simulate import gen_tvar2
+from blf.simulate import gen_tvar2, gen_tvar6
 from blf.tvar import path_sampler
-from helpers import readouts, whole_paths
+from helpers import readouts, stage_readouts, whole_paths
 
 
 def ar1_series(phi, T, seed, burn=200):
@@ -69,12 +72,13 @@ class TestRunStage:
         assert st.filter_f.e[0] == f_prev[m] - prior.mu0 * b_prev[0]
         assert st.filter_b.e[0] == b_prev[0] - prior.mu0 * f_prev[m]
         sm_f, sm_b = backward_smooth(st.filter_f), backward_smooth(st.filter_b)
-        for name, row in (("alpha", sm_f.mu), ("alpha_var", sm_f.c), ("sf2", sm_f.s)):
-            path = getattr(st, name)
+        alpha_var, beta_var, sb2 = stage_readouts(st, T)
+        for name, path, row in (("alpha", st.alpha, sm_f.mu), ("alpha_var", alpha_var, sm_f.c),
+                                ("sf2", st.sf2, sm_f.s)):
             assert np.all(path[:m] == path[m - 1]), name
             assert np.array_equal(path[m - 1:], row), name
-        for name, row in (("beta", sm_b.mu), ("beta_var", sm_b.c), ("sb2", sm_b.s)):
-            path = getattr(st, name)
+        for name, path, row in (("beta", st.beta, sm_b.mu), ("beta_var", beta_var, sm_b.c),
+                                ("sb2", sb2, sm_b.s)):
             assert np.all(path[T - m:] == path[T - m - 1]), name
             assert np.array_equal(path[:T - m], row[1:]), name
         assert st.alpha[m] != st.alpha[m - 1] and st.beta[T - m - 1] != st.beta[T - m - 2]
@@ -173,9 +177,29 @@ class TestRunLattice:
         # prefix consistency: a lower order is the first stages of a higher one
         longer = run_lattice(x, 5, d, NIGPrior())
         for sa, sl in zip(a.stages, longer.stages[:3]):
-            for name in ("alpha", "beta", "alpha_var", "beta_var", "sf2", "sb2",
-                         "f_next", "b_next", "loglik"):
+            for name in ("alpha", "beta", "sf2", "f_next", "b_next", "loglik"):
                 assert np.array_equal(getattr(sa, name), getattr(sl, name))
+
+    def test_memory_is_the_filter_passes_plus_five_paths_per_stage(self):
+        """At T=16384, an order-6 lattice keeps each stage's two filter
+        passes and five T-long paths (alpha, beta, sf2, f_next, b_next),
+        within 256 KiB of slack (one cached normalizer row is 128 KiB).
+        Storing the PARCOR scales and the backward variance path as well
+        kept three more paths per stage, 2.25 MiB in all."""
+        T = 16384
+        x = gen_tvar6(T, seed=0).x
+        prior = default_prior(x)
+        tracemalloc.start()
+        try:
+            run = run_lattice(x, 6, DiscountPair(0.98, 0.98), prior)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        passes = sum(np.asarray(getattr(fs, f.name)).nbytes
+                     for st in run.stages for fs in (st.filter_f, st.filter_b)
+                     for f in fields(fs))
+        bound = passes + 5 * 8 * T * run.order + (256 << 10)
+        assert kept <= bound, f"kept {kept / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
 
     def test_rejects_bad_order_and_stage_list(self):
         x = np.zeros(20)
