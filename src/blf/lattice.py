@@ -14,7 +14,7 @@ the nearest filter row (see :func:`filter_rows`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .dlm import (
     predictive_loglik,
 )
 
-__all__ = ["StageResult", "LatticeRun", "filter_rows", "run_stage", "run_lattice"]
+__all__ = ["StageResult", "LatticeRun", "filter_rows", "run_stage", "run_lattice",
+           "stage_filters"]
 
 
 def _is_count(value) -> bool:
@@ -46,16 +47,18 @@ class StageResult:
     paths, ``sf2`` the smoothed innovation-variance path of the forward
     regression, and ``f_next`` / ``b_next`` the prediction-error series for
     the next stage.  ``loglik`` is the one-step predictive log likelihood of
-    the forward regression.  ``filter_f`` / ``filter_b`` are the two forward
-    passes, which carry the stage's discounts; each has T-m+1 rows, mapped
-    to the times 1..T by :func:`filter_rows`.  With
+    the forward regression.  The stage's two filter passes are not kept:
+    they are a function of the stage's inputs, discounts and prior, and
+    :func:`stage_filters` recomputes them from a run.  Each pass has T-m+1
+    rows, mapped to the times 1..T by :func:`filter_rows`.  With
+    ``fs_f, fs_b = stage_filters(run, st.m)`` and
     ``rows_f, rows_b = filter_rows(T, st.m)``, the scales of the PARCOR
     paths' marginal t-posteriors and the backward variance path are
     read-outs of the passes::
 
-        alpha_var = backward_smooth(st.filter_f).c[rows_f]
-        beta_var  = backward_smooth(st.filter_b).c[rows_b]
-        sb2       = backward_smooth(st.filter_b).s[rows_b]
+        alpha_var = backward_smooth(fs_f).c[rows_f]
+        beta_var  = backward_smooth(fs_b).c[rows_b]
+        sb2       = backward_smooth(fs_b).s[rows_b]
     """
 
     m: int
@@ -65,16 +68,21 @@ class StageResult:
     f_next: np.ndarray
     b_next: np.ndarray
     loglik: float | np.ndarray
-    filter_f: FilterState = field(repr=False)
-    filter_b: FilterState = field(repr=False)
 
 
 @dataclass
 class LatticeRun:
-    """Chained stage results for m = 1..P over one input series."""
+    """Chained stage results for m = 1..P over one input series.
+
+    A run is its inputs, the series ``x``, the P stage ``discounts`` and the
+    ``prior``, plus each stage's outputs; :func:`stage_filters` recomputes a
+    stage's filter passes from them.
+    """
 
     stages: list[StageResult]
     x: np.ndarray
+    discounts: list[DiscountPair]
+    prior: NIGPrior
 
     @property
     def order(self) -> int:
@@ -134,10 +142,7 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
         raise ValueError(f"stage index m={m!r} must be an integer with "
                          f"1 <= m < T={T}")
 
-    # The forward regression runs over t = m+1..T, the backward over 1..T-m.
-    f_obs, b_obs = f_prev[m:], b_prev[:T - m]
-    fs_f = forward_filter(f_obs, b_obs, prior, d)
-    fs_b = forward_filter(b_obs, f_obs, prior, d)
+    fs_f, fs_b = _filters(f_prev, b_prev, m, d, prior)
     if fs_f.kappa.shape[1:] != f_prev.shape[1:]:
         raise ValueError("batched discounts need a (T, G) series, one column each")
     sm_f = backward_smooth(fs_f)
@@ -150,8 +155,28 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
         alpha=sm_f.mu[rows_f], beta=mu_b[rows_b], sf2=sm_f.s[rows_f],
         f_next=f_next, b_next=b_next,
         loglik=predictive_loglik(fs_f),
-        filter_f=fs_f, filter_b=fs_b,
     )
+
+
+def _filters(f_prev, b_prev, m: int, d: DiscountPair, prior: NIGPrior):
+    """The stage-m forward and backward filter passes at ``d`` and
+    ``prior``: the forward regression runs over t = m+1..T, the backward
+    over 1..T-m."""
+    f_obs, b_obs = f_prev[m:], b_prev[:f_prev.shape[0] - m]
+    return forward_filter(f_obs, b_obs, prior, d), forward_filter(b_obs, f_obs, prior, d)
+
+
+def stage_filters(run: LatticeRun, m: int) -> tuple[FilterState, FilterState]:
+    """The forward and backward filter passes ``(fs_f, fs_b)`` of stage m of
+    ``run``, bit for bit those :func:`run_stage` smoothed: recomputed from
+    stage m-1's ``f_next``/``b_next`` (``x`` at m = 1), ``run.discounts[m-1]``
+    and ``run.prior``.  The passes carry the stage's discounts; the joint
+    posterior sampler reads them (see :func:`blf.tvar.path_sampler`)."""
+    if not (_is_count(m) and 1 <= m <= run.order):
+        raise ValueError(f"stage m={m!r} must be an integer with 1 <= m <= {run.order}")
+    prev = run.stages[m - 2]
+    f_prev, b_prev = (prev.f_next, prev.b_next) if m > 1 else (run.x, run.x)
+    return _filters(f_prev, b_prev, m, run.discounts[m - 1], run.prior)
 
 
 def _next_errors(f_prev, b_prev, m: int, mu_f, mu_b):
@@ -185,7 +210,9 @@ def run_lattice(x, P: int, per_stage, prior: NIGPrior) -> LatticeRun:
     """Chain lattice stages m = 1..P starting from f0 = b0 = x.
 
     ``per_stage`` is one DiscountPair, used at every stage, or a sequence
-    of P of them, one per stage.
+    of P of them, one per stage.  The run keeps ``x``, the P pairs as
+    ``discounts`` and ``prior`` with the stages, so that
+    :func:`stage_filters` can recompute any stage's filter passes.
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[0]
@@ -201,4 +228,4 @@ def run_lattice(x, P: int, per_stage, prior: NIGPrior) -> LatticeRun:
         stage = run_stage(f_prev, b_prev, m, d, prior)
         stages.append(stage)
         f_prev, b_prev = stage.f_next, stage.b_next
-    return LatticeRun(stages=stages, x=x)
+    return LatticeRun(stages=stages, x=x, discounts=pairs, prior=prior)

@@ -307,7 +307,7 @@ def fit_fixed(x, d: DiscountPair, order: int,
     x = np.asarray(x, dtype=float)
     prior = default_prior(x) if prior is None else prior
     run = run_lattice(x, order, d, prior)
-    return _report("fixed", run, [d] * order, run.scree, False)
+    return _report("fixed", run, run.discounts, run.scree, False)
 
 
 def scree_table(report: SelectionReport) -> list[tuple[int, float, float | None]]:

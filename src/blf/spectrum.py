@@ -108,11 +108,9 @@ def _pieces(n: int, cells: int) -> list[slice]:
     ``cells`` cells per row, within ``_BLOCK_BYTES``, and each at least two
     rows long when n >= 2.  numpy multiplies a one-row piece by another
     BLAS routine (gemv, not gemm), whose sums can differ in the last bit;
-    pieces of two rows or more give the bits of the whole pass on grids of
-    up to about 190 frequencies.  On wider grids OpenBLAS rounds the last
-    columns of a product by its number of rows, so a surface there moves
-    in the last bit with the piece, as the whole surface's rows move with
-    T and with the BLAS thread count.  The longest piece has
+    pieces of two rows or more give the bits of the whole pass, since
+    ``_transfer_power`` multiplies in column blocks whose bits do not
+    depend on the number of rows.  The longest piece has
     ceil(n / len(pieces)) rows."""
     step = max(1, _BLOCK_BYTES // (16 * cells))
     k = max(1, min(-(-n // step), n // 2))
@@ -129,14 +127,21 @@ def _transfer_power(coeffs: np.ndarray, freqs: np.ndarray, work=None,
                     tables=None) -> np.ndarray:
     """|1 - sum_m a_m e^{-2 pi i m w}|^2 for coeffs (..., T, P), in real
     arithmetic: (1 - sum_m a_m cos 2 pi m w)^2 + (sum_m a_m sin 2 pi m w)^2.
+    The sums are products over column blocks of at most 128 frequencies,
+    each written into its own columns.  OpenBLAS rounds the last columns of
+    a wider product by its number of rows, which would make a cell depend
+    on T, on the piece of rows and on the BLAS thread count.
     The cos and sin parts go to the front of the flat array ``work`` if
     given; ``tables`` are ``_tables(P, freqs)`` if the caller has them.
     """
     cos, sin = _tables(coeffs.shape[-1], freqs) if tables is None else tables
     shape = (2, *coeffs.shape[:-1], cos.shape[1])
     out = np.empty(shape) if work is None else work[:math.prod(shape)].reshape(shape)
-    re = np.matmul(coeffs, cos, out=out[0])
-    im = np.matmul(coeffs, sin, out=out[1])
+    re, im = out
+    for j in range(0, shape[-1], 128):
+        cols = slice(j, j + 128)
+        np.matmul(coeffs, cos[:, cols], out=re[..., cols])
+        np.matmul(coeffs, sin[:, cols], out=im[..., cols])
     np.square(np.subtract(1.0, re, out=re), out=re)
     re += np.square(im, out=im)
     return re
@@ -154,8 +159,7 @@ def tvar_spectrum(fit: TvarFit, freqs=None) -> Spectrogram:
     least two steps, cos and sin parts within ``_BLOCK_BYTES``) into one
     reused work array, and each piece is divided into its own output rows,
     so nothing beyond the surface grows with T; the bits are those of the
-    whole surface at once, on grids of up to about 190 frequencies (see
-    ``_pieces``).
+    whole surface at once (see ``_pieces``).
     """
     freqs = default_freq_grid() if freqs is None else _check_grid(freqs)
     coeffs = np.asarray(fit.coeffs, dtype=float)

@@ -14,7 +14,7 @@ import numpy as np
 # backward_sample stays bound here: perfbench/spans.py wraps
 # tvar.backward_sample by name.
 from .dlm import _block_sampler, backward_sample  # noqa: F401
-from .lattice import LatticeRun, _is_count, filter_rows
+from .lattice import LatticeRun, _is_count, filter_rows, stage_filters
 
 __all__ = ["TvarFit", "parcor_to_tvar", "assemble_fit", "path_sampler"]
 
@@ -127,9 +127,12 @@ def path_sampler(run: LatticeRun, P: int):
     ``coeffs`` of shape (size, B, P) and ``sigma2`` of shape (size, B) hold
     times start + 1 .. start + B of ``size`` joint draws, each one joint
     PARCOR path per stage (plus the stage-P forward variance path) mapped
-    through the Levinson recursion.  Each filter's rows are placed on the
-    times 1..T as the smoothed stage paths are, by
-    :func:`blf.lattice.filter_rows`.  Used for posterior spectral surfaces.
+    through the Levinson recursion.  The 2P filter passes are recomputed
+    from the run's inputs by :func:`blf.lattice.stage_filters` when
+    ``path_sampler`` is called, once for all draws, and live as long as the
+    sampler does.  Each filter's rows are placed on the times 1..T as the
+    smoothed stage paths are, by :func:`blf.lattice.filter_rows`.  Used for
+    posterior spectral surfaces.
 
     The T steps are split into equal blocks, as few as keep a block's two
     stage-major (P, B, size) buffers, forward and backward, within
@@ -153,8 +156,8 @@ def path_sampler(run: LatticeRun, P: int):
     _check_order(run, P)
     T = len(run.x)
     # The 2P regressions in draw order, each with its filter row per time.
-    regressions = [(fs, rows) for st in run.stages[:P]
-                   for fs, rows in zip((st.filter_f, st.filter_b), filter_rows(T, st.m))]
+    regressions = [(fs, rows) for m in range(1, P + 1)
+                   for fs, rows in zip(stage_filters(run, m), filter_rows(T, m))]
 
     def draw(rng: np.random.Generator, size: int):
         n = -(-T // max(1, _BLOCK_BYTES // (16 * P * max(size, 1))))

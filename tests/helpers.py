@@ -45,14 +45,16 @@ def readouts(fs):
     return s, s / fs.P, s[:-1] * fs.g
 
 
-def stage_readouts(stage, T):
-    """The read-outs (alpha_var, beta_var, sb2) of a lattice
-    ``StageResult`` over times 1..T: the smoothed coefficient scales of its
+def stage_readouts(filters, T, m):
+    """The read-outs (alpha_var, beta_var, sb2) of lattice stage m over
+    times 1..T from its two filter passes ``filters = (fs_f, fs_b)``, as
+    ``stage_filters`` gives them: the smoothed coefficient scales of the
     forward and backward passes and the backward pass's smoothed variance,
     each at the pass's row for every time."""
-    rows_f, rows_b = filter_rows(T, stage.m)
-    sm_b = backward_smooth(stage.filter_b)
-    return backward_smooth(stage.filter_f).c[rows_f], sm_b.c[rows_b], sm_b.s[rows_b]
+    fs_f, fs_b = filters
+    rows_f, rows_b = filter_rows(T, m)
+    sm_b = backward_smooth(fs_b)
+    return backward_smooth(fs_f).c[rows_f], sm_b.c[rows_b], sm_b.s[rows_b]
 
 
 def covariance_filter(y, x, prior, gamma, delta):

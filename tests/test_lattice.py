@@ -1,13 +1,14 @@
 """Lattice stage tests: PARCOR recovery, residual identities, truncation."""
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from blf.dlm import DiscountPair, NIGPrior, backward_smooth, default_prior
-from blf.lattice import _stage_errors, run_lattice, run_stage
+from blf.dlm import DiscountPair, NIGPrior, backward_smooth, default_prior, forward_filter
+from blf.lattice import _filters, _stage_errors, run_lattice, run_stage, stage_filters
+from blf.selection import fit_blfdyn
 from blf.simulate import gen_tvar2, gen_tvar6
 from blf.tvar import path_sampler
 from helpers import readouts, stage_readouts, whole_paths
@@ -61,18 +62,20 @@ class TestRunStage:
         T, m = 12, 3
         f_prev, b_prev = rng.normal(size=(2, T))
         prior = NIGPrior(0.5, 1.0, 2.0, 3.0)
-        st = run_stage(f_prev, b_prev, m, DiscountPair(0.9, 0.95), prior)
-        for fs in (st.filter_f, st.filter_b):
+        d = DiscountPair(0.9, 0.95)
+        st = run_stage(f_prev, b_prev, m, d, prior)
+        fs_f, fs_b = _filters(f_prev, b_prev, m, d, prior)
+        for fs in (fs_f, fs_b):
             assert len(fs.mu) == T - m + 1 and len(fs.e) == T - m
             s, c, _ = readouts(fs)
             got = {"mu": fs.mu, "c": c, "v": fs.v, "kappa": fs.kappa, "s": s}
             for name, value in (("mu", prior.mu0), ("c", prior.c0), ("v", prior.v0),
                                 ("kappa", prior.kappa0), ("s", prior.kappa0 / prior.v0)):
                 assert got[name][0] == value, name
-        assert st.filter_f.e[0] == f_prev[m] - prior.mu0 * b_prev[0]
-        assert st.filter_b.e[0] == b_prev[0] - prior.mu0 * f_prev[m]
-        sm_f, sm_b = backward_smooth(st.filter_f), backward_smooth(st.filter_b)
-        alpha_var, beta_var, sb2 = stage_readouts(st, T)
+        assert fs_f.e[0] == f_prev[m] - prior.mu0 * b_prev[0]
+        assert fs_b.e[0] == b_prev[0] - prior.mu0 * f_prev[m]
+        sm_f, sm_b = backward_smooth(fs_f), backward_smooth(fs_b)
+        alpha_var, beta_var, sb2 = stage_readouts((fs_f, fs_b), T, m)
         for name, path, row in (("alpha", st.alpha, sm_f.mu), ("alpha_var", alpha_var, sm_f.c),
                                 ("sf2", st.sf2, sm_f.s)):
             assert np.all(path[:m] == path[m - 1]), name
@@ -180,12 +183,36 @@ class TestRunLattice:
             for name in ("alpha", "beta", "sf2", "f_next", "b_next", "loglik"):
                 assert np.array_equal(getattr(sa, name), getattr(sl, name))
 
-    def test_memory_is_the_filter_passes_plus_five_paths_per_stage(self):
-        """At T=16384, an order-6 lattice keeps each stage's two filter
-        passes and five T-long paths (alpha, beta, sf2, f_next, b_next),
-        within 256 KiB of slack (one cached normalizer row is 128 KiB).
-        Storing the PARCOR scales and the backward variance path as well
-        kept three more paths per stage, 2.25 MiB in all."""
+    def test_stage_filters_rerun_each_stage_from_its_inputs(self):
+        """``stage_filters(run, m)`` is the forward filter of stage m-1's
+        stored errors (x at m = 1) at the stage's chosen pair and the fit's
+        prior, bit for bit: on a blfdyn fit whose stages chose different
+        pairs, under a prior other than the default.  A stage index outside
+        1..order is refused."""
+        x = gen_tvar6(1024, seed=0).x
+        prior = replace(default_prior(x), c0=0.5, v0=2.0)
+        report = fit_blfdyn(x, prior=prior)
+        run, T = report.run, len(x)
+        assert len({(d.gamma, d.delta) for d in report.per_stage_discounts[:run.order]}) > 1
+        f_prev = b_prev = x
+        for m, st in enumerate(run.stages, start=1):
+            d = report.per_stage_discounts[m - 1]
+            want = (forward_filter(f_prev[m:], b_prev[:T - m], prior, d),
+                    forward_filter(b_prev[:T - m], f_prev[m:], prior, d))
+            for got, ref in zip(stage_filters(run, m), want):
+                assert (got.gamma, got.delta) == (d.gamma, d.delta)
+                for f in fields(ref):
+                    assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), (m, f.name)
+            f_prev, b_prev = st.f_next, st.b_next
+        for bad in (0, run.order + 1, 1.0, True):
+            with pytest.raises(ValueError, match=r"stage m=.* must be an integer"):
+                stage_filters(run, bad)
+
+    def test_memory_is_five_paths_per_stage(self):
+        """At T=16384, an order-6 lattice keeps five T-long paths per stage
+        (alpha, beta, sf2, f_next, b_next), within 256 KiB of slack (one
+        cached normalizer row is 128 KiB): 4.0 MiB in all.  Keeping each
+        stage's two filter passes as well took 12.90 MiB."""
         T = 16384
         x = gen_tvar6(T, seed=0).x
         prior = default_prior(x)
@@ -195,10 +222,7 @@ class TestRunLattice:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        passes = sum(np.asarray(getattr(fs, f.name)).nbytes
-                     for st in run.stages for fs in (st.filter_f, st.filter_b)
-                     for f in fields(fs))
-        bound = passes + 5 * 8 * T * run.order + (256 << 10)
+        bound = 5 * 8 * T * run.order + (256 << 10)
         assert kept <= bound, f"kept {kept / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
 
     def test_rejects_bad_order_and_stage_list(self):

@@ -8,7 +8,7 @@ import pytest
 
 from blf import tvar
 from blf.dlm import DiscountPair, _block_sampler, backward_sample, default_prior
-from blf.lattice import filter_rows, run_lattice
+from blf.lattice import filter_rows, run_lattice, stage_filters
 from blf.simulate import gen_tvar2, gen_tvar6
 from blf.tvar import assemble_fit, parcor_to_tvar, path_sampler
 from helpers import classical_levinson, levinson_out_of_place, whole_paths
@@ -128,10 +128,11 @@ def stacked_draw(run, P, rng, size):
     ``parcor_to_tvar`` on those grids."""
     T = len(run.x)
     alpha, beta = np.empty((2, size, T, P))
-    for j, st in enumerate(run.stages[:P]):
-        rows_f, rows_b = filter_rows(T, st.m)
-        th_f, s2_f = backward_sample(st.filter_f, rng, size=size)
-        th_b, _ = backward_sample(st.filter_b, rng, size=size)
+    for j in range(P):
+        rows_f, rows_b = filter_rows(T, j + 1)
+        fs_f, fs_b = stage_filters(run, j + 1)
+        th_f, s2_f = backward_sample(fs_f, rng, size=size)
+        th_b, _ = backward_sample(fs_b, rng, size=size)
         alpha[:, :, j] = th_f[rows_f].T
         beta[:, :, j] = th_b[rows_b].T
     coeffs, _ = parcor_to_tvar(alpha, beta)
@@ -146,8 +147,8 @@ def block_stacked_draw(run, P, rng, size, n_blocks):
     by ``filter_rows`` and mapped by ``parcor_to_tvar`` on whole grids."""
     T = len(run.x)
     edges = [T * i // n_blocks for i in range(n_blocks + 1)]
-    regs = [(fs, rows) for st in run.stages[:P]
-            for fs, rows in zip((st.filter_f, st.filter_b), filter_rows(T, st.m))]
+    regs = [(fs, rows) for m in range(1, P + 1)
+            for fs, rows in zip(stage_filters(run, m), filter_rows(T, m))]
     samplers = [_block_sampler(fs, rng, size) for fs, _ in regs]
     paths = [(np.empty((len(fs.mu), size)), np.empty((len(fs.mu), size)))
              for fs, _ in regs]
