@@ -90,9 +90,12 @@ def run_benchmark(process: str, n: int, methods, T: int = 1024,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_tau(tau)
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in FITTERS:
             raise ValueError(f"unknown method {method!r}; choose from {sorted(FITTERS)}")
+        if method in methods[:i]:
+            raise ValueError(f"method {method!r} is listed more than once; "
+                             "each method fits each replicate once")
 
     jobs = [
         (process, r, base_seed + r, methods, T, grid, prior, tau, freq_step)

@@ -30,7 +30,7 @@ from .dlm import (
 )
 
 __all__ = ["StageResult", "LatticeRun", "filter_rows", "run_stage", "run_lattice",
-           "stage_filters"]
+           "stage_filters", "stage_variance"]
 
 
 def _is_count(value) -> bool:
@@ -44,18 +44,20 @@ class StageResult:
 
     All arrays have length T (trailing batch axes allowed).  ``alpha`` /
     ``beta`` are the smoothed forward/backward partial-autocorrelation
-    paths, ``sf2`` the smoothed innovation-variance path of the forward
-    regression, and ``f_next`` / ``b_next`` the prediction-error series for
-    the next stage.  ``loglik`` is the one-step predictive log likelihood of
-    the forward regression.  The stage's two filter passes are not kept:
-    they are a function of the stage's inputs, discounts and prior, and
-    :func:`stage_filters` recomputes them from a run.  Each pass has T-m+1
+    paths and ``f_next`` / ``b_next`` the prediction-error series for the
+    next stage.  All four come from the two regressions' smoothed means,
+    which depend on gamma alone.  The variance side of the stage is not
+    kept: it is a read-out of the stage's two filter passes, which are a
+    function of the stage's inputs, discounts and prior, and which
+    :func:`stage_filters` recomputes from a run.  Each pass has T-m+1
     rows, mapped to the times 1..T by :func:`filter_rows`.  With
     ``fs_f, fs_b = stage_filters(run, st.m)`` and
-    ``rows_f, rows_b = filter_rows(T, st.m)``, the scales of the PARCOR
-    paths' marginal t-posteriors and the backward variance path are
-    read-outs of the passes::
+    ``rows_f, rows_b = filter_rows(T, st.m)``, the forward regression's
+    variance path and predictive log likelihood, the scales of the PARCOR
+    paths' marginal t-posteriors and the backward variance path are::
 
+        sf2       = backward_smooth(fs_f).s[rows_f]   # stage_variance(run, st.m)
+        loglik    = predictive_loglik(fs_f)           # run.scree[st.m - 1]
         alpha_var = backward_smooth(fs_f).c[rows_f]
         beta_var  = backward_smooth(fs_b).c[rows_b]
         sb2       = backward_smooth(fs_b).s[rows_b]
@@ -64,10 +66,8 @@ class StageResult:
     m: int
     alpha: np.ndarray
     beta: np.ndarray
-    sf2: np.ndarray
     f_next: np.ndarray
     b_next: np.ndarray
-    loglik: float | np.ndarray
 
 
 @dataclass
@@ -76,7 +76,8 @@ class LatticeRun:
 
     A run is its inputs, the series ``x``, the P stage ``discounts`` and the
     ``prior``, plus each stage's outputs; :func:`stage_filters` recomputes a
-    stage's filter passes from them.
+    stage's filter passes from them, and :func:`stage_variance` and
+    ``scree`` read the variance side of the stages from those passes.
     """
 
     stages: list[StageResult]
@@ -90,7 +91,11 @@ class LatticeRun:
 
     @property
     def scree(self) -> np.ndarray:
-        return np.array([st.loglik for st in self.stages])
+        """The forward regressions' predictive log likelihoods, stages
+        1..order, recomputed from each stage's forward pass
+        (:func:`stage_filters`) at every read."""
+        return np.array([predictive_loglik(stage_filters(self, m)[0])
+                         for m in range(1, self.order + 1)])
 
 
 def filter_rows(T: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,10 +133,11 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     Returns
     -------
     StageResult
-        The forward regression is smoothed in full, for ``alpha`` and
-        ``sf2``; the backward one only in its mean, for ``beta``.  The
-        scales and the backward variance are read-outs of the two passes
-        (see :class:`StageResult`).
+        Each regression runs only the recurrences of its filtered means
+        (:func:`blf.dlm._forecasts`) and smooths only its mean, so no
+        variance, degrees of freedom or score is computed, and ``d.delta``
+        enters no array.  The variance side is a read-out of the stage's
+        filter passes (see :class:`StageResult`).
     """
     f_prev = np.asarray(f_prev, dtype=float)
     b_prev = np.asarray(b_prev, dtype=float)
@@ -141,21 +147,19 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     if not (_is_count(m) and 1 <= m < T):
         raise ValueError(f"stage index m={m!r} must be an integer with "
                          f"1 <= m < T={T}")
-
-    fs_f, fs_b = _filters(f_prev, b_prev, m, d, prior)
-    if fs_f.kappa.shape[1:] != f_prev.shape[1:]:
+    batch = f_prev.shape[1:]
+    if np.broadcast_shapes(batch, np.shape(d.gamma), np.shape(d.delta)) != batch:
         raise ValueError("batched discounts need a (T, G) series, one column each")
-    sm_f = backward_smooth(fs_f)
-    mu_b = _smooth_mean(fs_b.mu, fs_b.gamma)
 
-    f_next, b_next = _next_errors(f_prev, b_prev, m, sm_f.mu, mu_b)
+    f_obs, b_obs = f_prev[m:], b_prev[:T - m]
+    mu_f, gamma = _forecasts(f_obs, b_obs, prior, d)[4:]
+    mu_f = _smooth_mean(mu_f, gamma)
+    mu_b = _smooth_mean(_forecasts(b_obs, f_obs, prior, d)[4], gamma)
+
+    f_next, b_next = _next_errors(f_prev, b_prev, m, mu_f, mu_b)
     rows_f, rows_b = filter_rows(T, m)
-    return StageResult(
-        m=m,
-        alpha=sm_f.mu[rows_f], beta=mu_b[rows_b], sf2=sm_f.s[rows_f],
-        f_next=f_next, b_next=b_next,
-        loglik=predictive_loglik(fs_f),
-    )
+    return StageResult(m=m, alpha=mu_f[rows_f], beta=mu_b[rows_b],
+                       f_next=f_next, b_next=b_next)
 
 
 def _filters(f_prev, b_prev, m: int, d: DiscountPair, prior: NIGPrior):
@@ -168,15 +172,26 @@ def _filters(f_prev, b_prev, m: int, d: DiscountPair, prior: NIGPrior):
 
 def stage_filters(run: LatticeRun, m: int) -> tuple[FilterState, FilterState]:
     """The forward and backward filter passes ``(fs_f, fs_b)`` of stage m of
-    ``run``, bit for bit those :func:`run_stage` smoothed: recomputed from
-    stage m-1's ``f_next``/``b_next`` (``x`` at m = 1), ``run.discounts[m-1]``
-    and ``run.prior``.  The passes carry the stage's discounts; the joint
-    posterior sampler reads them (see :func:`blf.tvar.path_sampler`)."""
+    ``run``, recomputed from stage m-1's ``f_next``/``b_next`` (``x`` at
+    m = 1), ``run.discounts[m-1]`` and ``run.prior``: their filtered means
+    are bit for bit the ones :func:`run_stage` smoothed.  The passes carry
+    the stage's discounts; the joint posterior sampler reads them (see
+    :func:`blf.tvar.path_sampler`), and so do :func:`stage_variance` and
+    ``LatticeRun.scree``."""
     if not (_is_count(m) and 1 <= m <= run.order):
         raise ValueError(f"stage m={m!r} must be an integer with 1 <= m <= {run.order}")
     prev = run.stages[m - 2]
     f_prev, b_prev = (prev.f_next, prev.b_next) if m > 1 else (run.x, run.x)
     return _filters(f_prev, b_prev, m, run.discounts[m - 1], run.prior)
+
+
+def stage_variance(run: LatticeRun, m: int) -> np.ndarray:
+    """The smoothed innovation-variance path of stage m's forward
+    regression over the times 1..T, the last stage's being the TVAR fit's
+    ``sigma2``: read from the forward pass that :func:`stage_filters`
+    recomputes, through :func:`blf.dlm.backward_smooth` and the pass's rows
+    of :func:`filter_rows`."""
+    return backward_smooth(stage_filters(run, m)[0]).s[filter_rows(len(run.x), m)[0]]
 
 
 def _next_errors(f_prev, b_prev, m: int, mu_f, mu_b):
@@ -193,26 +208,15 @@ def _next_errors(f_prev, b_prev, m: int, mu_f, mu_b):
     return f_next, b_next
 
 
-def _stage_errors(f_prev, b_prev, m: int, d: DiscountPair, prior: NIGPrior):
-    """``(f_next, b_next)`` of ``run_stage(f_prev, b_prev, m, d, prior)``
-    bit for bit, from the two regressions' filtered and smoothed means
-    alone: no variance, degrees of freedom or score is computed or kept.
-    A search that only chains stages runs this."""
-    T = f_prev.shape[0]
-    f_obs, b_obs = f_prev[m:], b_prev[:T - m]
-    mu_f, gamma = _forecasts(f_obs, b_obs, prior, d)[4:]
-    mu_b = _forecasts(b_obs, f_obs, prior, d)[4]
-    return _next_errors(f_prev, b_prev, m, _smooth_mean(mu_f, gamma),
-                        _smooth_mean(mu_b, gamma))
-
-
 def run_lattice(x, P: int, per_stage, prior: NIGPrior) -> LatticeRun:
     """Chain lattice stages m = 1..P starting from f0 = b0 = x.
 
     ``per_stage`` is one DiscountPair, used at every stage, or a sequence
     of P of them, one per stage.  The run keeps ``x``, the P pairs as
     ``discounts`` and ``prior`` with the stages, so that
-    :func:`stage_filters` can recompute any stage's filter passes.
+    :func:`stage_filters` can recompute any stage's filter passes.  A stage
+    computes only its means (:func:`run_stage`); the variance paths and the
+    scree are read from the recomputed passes where they are read.
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[0]

@@ -20,7 +20,8 @@ instead lets every extra stage shrink the series a little using future
 data, which rewards small discounts without bound.  Scores need only the
 forward recurrences; each grid is scored through ``dlm._score``, whose
 full-width work runs as one chunked sweep over the series.  ``fit_blfdyn``
-chains its stages through their prediction errors alone.  The final model
+chains its stages through ``lattice.run_stage``, which computes only their
+means, and keeps only their prediction errors.  The final model
 of both is the smoothed lattice at the selected discounts up to the
 selected order, built once after the search.
 """
@@ -38,12 +39,11 @@ from .dlm import (
     _score,
     default_prior,
 )
-from .lattice import LatticeRun, _is_count, _stage_errors, run_lattice
-# forward_filter, predictive_loglik and run_stage stay bound here, unused:
-# perfbench's spans.py wraps selection.forward_filter,
-# selection.predictive_loglik and selection.run_stage by name.
+from .lattice import LatticeRun, _is_count, run_lattice, run_stage
+# forward_filter and predictive_loglik stay bound here, unused: perfbench's
+# spans.py wraps selection.forward_filter and selection.predictive_loglik
+# by name.
 from .dlm import forward_filter, predictive_loglik  # noqa: F401
-from .lattice import run_stage  # noqa: F401
 from .tvar import TvarFit, assemble_fit
 
 __all__ = [
@@ -248,11 +248,11 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     At each stage every grid pair is scored on the residuals fixed by the
     previously selected stages; the stage keeps the pair with the highest
     forward predictive log likelihood (ties to the earliest pair in gamma-
-    then-delta order).  The search keeps only the prediction errors that
-    the smoothed stage at that pair feeds the next stage
-    (:func:`blf.lattice._stage_errors`); the final model is the lattice at
-    the chosen pairs up to the selected order, built once at the end, as
-    ``fit_blffix`` does.
+    then-delta order).  The search chains its stages through
+    :func:`blf.lattice.run_stage` at the chosen pair and keeps only the
+    prediction errors it feeds the next stage; the final model is the
+    lattice at the chosen pairs up to the selected order, built once at the
+    end, as ``fit_blffix`` does.
     """
     grid, x, prior = _search_inputs(x, grid, prior)
     pair, batch = _batched_pairs(grid)
@@ -267,7 +267,9 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
         scree[m - 1] = ll[best]
         discounts.append(pair(best))
         if m < grid.p_max:
-            f_prev, b_prev = _stage_errors(f_prev, b_prev, m, discounts[-1], prior)
+            stage = run_stage(f_prev, b_prev, m, discounts[-1], prior)
+            f_prev, b_prev = stage.f_next, stage.b_next
+            del stage  # its PARCOR paths are not held through the next score
 
     order = select_order(scree, tau)
     run = run_lattice(x, order, discounts[:order], prior)

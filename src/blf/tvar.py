@@ -14,7 +14,7 @@ import numpy as np
 # backward_sample stays bound here: perfbench/spans.py wraps
 # tvar.backward_sample by name.
 from .dlm import _block_sampler, backward_sample  # noqa: F401
-from .lattice import LatticeRun, _is_count, filter_rows, stage_filters
+from .lattice import LatticeRun, _is_count, filter_rows, stage_filters, stage_variance
 
 __all__ = ["TvarFit", "parcor_to_tvar", "assemble_fit", "path_sampler"]
 
@@ -105,12 +105,19 @@ def _check_order(run: LatticeRun, P) -> None:
 
 
 def assemble_fit(run: LatticeRun, P: int) -> TvarFit:
-    """Build the order-P TVAR fit from the first P stages of a lattice run."""
+    """Build the order-P TVAR fit from the first P stages of a lattice run.
+
+    The coefficients map the stored PARCOR paths through the Levinson
+    recursion; ``sigma2`` is :func:`blf.lattice.stage_variance` of stage P,
+    read from its recomputed forward pass before the PARCOR grids are
+    stacked, so that the pass and the grids are never alive together.
+    """
     _check_order(run, P)
+    sigma2 = stage_variance(run, P)
     alpha = np.stack([run.stages[m].alpha for m in range(P)], axis=-1)
     beta = np.stack([run.stages[m].beta for m in range(P)], axis=-1)
     coeffs, _ = parcor_to_tvar(alpha, beta)
-    return TvarFit(coeffs=coeffs, sigma2=run.stages[P - 1].sf2.copy())
+    return TvarFit(coeffs=coeffs, sigma2=sigma2)
 
 
 # Bytes of a draw's two stage-major buffers, 16 P per (draw, t) of a time

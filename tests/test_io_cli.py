@@ -400,6 +400,16 @@ class TestCli:
             assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_benchmark_rejects_repeated_method(self, tmp_path, capsys):
+        """A method listed twice would fit each replicate twice and count it
+        twice in the summary; it is named and refused before any output."""
+        out = tmp_path / "out"
+        assert main(["benchmark", "tvar2", "--n", "1", "--T", "16", "--p-max", "2",
+                     "--methods", "blfdyn,blfdyn", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: method 'blfdyn' is listed more than once")
+        assert not out.exists()
+
     def test_fit_rejects_bad_freq_step(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
         write_series_csv(src, np.random.default_rng(49).normal(size=100))

@@ -6,8 +6,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from blf.dlm import DiscountPair, NIGPrior, backward_smooth, default_prior, forward_filter
-from blf.lattice import _filters, _stage_errors, run_lattice, run_stage, stage_filters
+from blf.dlm import (
+    DiscountPair,
+    NIGPrior,
+    backward_smooth,
+    default_prior,
+    forward_filter,
+    predictive_loglik,
+)
+from blf.lattice import _filters, run_lattice, run_stage, stage_filters, stage_variance
 from blf.selection import fit_blfdyn
 from blf.simulate import gen_tvar2, gen_tvar6
 from blf.tvar import path_sampler
@@ -60,10 +67,11 @@ class TestRunStage:
         t > T-m equal their t = T-m row."""
         rng = np.random.default_rng(12)
         T, m = 12, 3
-        f_prev, b_prev = rng.normal(size=(2, T))
         prior = NIGPrior(0.5, 1.0, 2.0, 3.0)
         d = DiscountPair(0.9, 0.95)
-        st = run_stage(f_prev, b_prev, m, d, prior)
+        run = run_lattice(rng.normal(size=T), m, d, prior)
+        prev, st = run.stages[m - 2], run.stages[m - 1]
+        f_prev, b_prev = prev.f_next, prev.b_next
         fs_f, fs_b = _filters(f_prev, b_prev, m, d, prior)
         for fs in (fs_f, fs_b):
             assert len(fs.mu) == T - m + 1 and len(fs.e) == T - m
@@ -77,7 +85,7 @@ class TestRunStage:
         sm_f, sm_b = backward_smooth(fs_f), backward_smooth(fs_b)
         alpha_var, beta_var, sb2 = stage_readouts((fs_f, fs_b), T, m)
         for name, path, row in (("alpha", st.alpha, sm_f.mu), ("alpha_var", alpha_var, sm_f.c),
-                                ("sf2", st.sf2, sm_f.s)):
+                                ("sf2", stage_variance(run, m), sm_f.s)):
             assert np.all(path[:m] == path[m - 1]), name
             assert np.array_equal(path[m - 1:], row), name
         for name, path, row in (("beta", st.beta, sm_b.mu), ("beta_var", beta_var, sm_b.c),
@@ -97,19 +105,6 @@ class TestRunStage:
         st = run_stage(cols, cols, 1, batch, NIGPrior())
         one = run_stage(x, x, 1, DiscountPair(0.95, 0.95), NIGPrior())
         assert np.array_equal(st.f_next[:, 1], one.f_next)
-
-    def test_stage_errors_equal_the_stage_outputs(self):
-        """The errors a search chains are the stage's ``f_next``/``b_next``
-        bit for bit, at every stage of a TVAR2 lattice and at pairs with
-        gamma = 1 and delta = 1."""
-        x = gen_tvar2(300, seed=7).x
-        f = b = x
-        for m, d in enumerate([DiscountPair(0.9, 0.95), DiscountPair(1.0, 0.9),
-                               DiscountPair(0.95, 1.0)], start=1):
-            st = run_stage(f, b, m, d, default_prior(x))
-            f_next, b_next = _stage_errors(f, b, m, d, default_prior(x))
-            assert np.array_equal(f_next, st.f_next) and np.array_equal(b_next, st.b_next)
-            f, b = f_next, b_next
 
     def test_rejects_bad_stage_index(self):
         x = np.zeros(10)
@@ -143,7 +138,7 @@ class TestRunLattice:
         proc = gen_tvar2(1024, seed=4)
         run = run_lattice(proc.x, 2, DiscountPair(0.98, 0.98),
                           default_prior(proc.x))
-        ratio = np.mean(run.stages[1].sf2) / 1.0
+        ratio = np.mean(stage_variance(run, 2)) / 1.0
         assert abs(ratio - 1.0) < 0.25
 
     def test_white_noise_stages(self):
@@ -153,7 +148,7 @@ class TestRunLattice:
         run = run_lattice(x, 3, DiscountPair(0.99, 0.99), default_prior(x))
         for st in run.stages:
             assert np.mean(np.abs(st.alpha)) < 0.1
-        assert abs(np.mean(run.stages[2].sf2) / sigma2 - 1.0) < 0.2
+        assert abs(np.mean(stage_variance(run, 3)) / sigma2 - 1.0) < 0.2
 
     def test_boundary_draws_take_nearest_row(self):
         """Posterior draws are placed as the smoothed paths are: the stage-P
@@ -176,12 +171,14 @@ class TestRunLattice:
         for sa, sb in zip(a.stages, b.stages):
             assert np.array_equal(sa.alpha, sb.alpha)
             assert np.array_equal(sa.f_next, sb.f_next)
-            assert sa.loglik == sb.loglik
+        assert np.array_equal(a.scree, b.scree)
         # prefix consistency: a lower order is the first stages of a higher one
         longer = run_lattice(x, 5, d, NIGPrior())
-        for sa, sl in zip(a.stages, longer.stages[:3]):
-            for name in ("alpha", "beta", "sf2", "f_next", "b_next", "loglik"):
+        for m, (sa, sl) in enumerate(zip(a.stages, longer.stages[:3]), start=1):
+            for name in ("alpha", "beta", "f_next", "b_next"):
                 assert np.array_equal(getattr(sa, name), getattr(sl, name))
+            assert np.array_equal(stage_variance(a, m), stage_variance(longer, m))
+        assert np.array_equal(a.scree, longer.scree[:3])
 
     def test_stage_filters_rerun_each_stage_from_its_inputs(self):
         """``stage_filters(run, m)`` is the forward filter of stage m-1's
@@ -208,11 +205,35 @@ class TestRunLattice:
             with pytest.raises(ValueError, match=r"stage m=.* must be an integer"):
                 stage_filters(run, bad)
 
-    def test_memory_is_five_paths_per_stage(self):
-        """At T=16384, an order-6 lattice keeps five T-long paths per stage
-        (alpha, beta, sf2, f_next, b_next), within 256 KiB of slack (one
-        cached normalizer row is 128 KiB): 4.0 MiB in all.  Keeping each
-        stage's two filter passes as well took 12.90 MiB."""
+    def test_variance_and_scree_are_readouts_of_the_forward_pass(self):
+        """``stage_variance(run, m)`` is the smoothed variance of
+        ``forward_filter`` over stage m's stored inputs, the t = m row at
+        every t <= m and the row t-m after it, and ``run.scree[m-1]`` is
+        ``predictive_loglik`` of that pass, bit for bit: at a different pair
+        per stage (gamma = 1 and delta = 1 among them) and under a prior
+        other than the default."""
+        x = gen_tvar2(300, seed=7).x
+        T = len(x)
+        prior = replace(default_prior(x), mu0=0.1, c0=0.5, v0=2.0)
+        pairs = [DiscountPair(0.9, 0.95), DiscountPair(1.0, 0.9), DiscountPair(0.95, 1.0)]
+        run = run_lattice(x, len(pairs), pairs, prior)
+        scree = run.scree
+        assert scree.shape == (len(pairs),)
+        f_prev = b_prev = x
+        for m, (st, d) in enumerate(zip(run.stages, pairs), start=1):
+            fs = forward_filter(f_prev[m:], b_prev[:T - m], prior, d)
+            s = backward_smooth(fs).s
+            want = np.concatenate([np.full(m, s[0]), s[1:]])
+            assert np.array_equal(stage_variance(run, m), want), m
+            assert scree[m - 1] == predictive_loglik(fs), m
+            f_prev, b_prev = st.f_next, st.b_next
+
+    def test_memory_is_four_paths_per_stage(self):
+        """At T=16384, an order-6 lattice keeps four T-long paths per stage
+        (alpha, beta, f_next, b_next), within 256 KiB of slack (one cached
+        normalizer row is 128 KiB): 3.25 MiB in all.  Keeping each stage's
+        smoothed variance path as well took 3.75 MiB, and each stage's two
+        filter passes on top of that 12.90 MiB."""
         T = 16384
         x = gen_tvar6(T, seed=0).x
         prior = default_prior(x)
@@ -222,7 +243,7 @@ class TestRunLattice:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        bound = 5 * 8 * T * run.order + (256 << 10)
+        bound = 4 * 8 * T * run.order + (256 << 10)
         assert kept <= bound, f"kept {kept / 2**20:.2f} MiB over {bound / 2**20:.2f} MiB"
 
     def test_rejects_bad_order_and_stage_list(self):

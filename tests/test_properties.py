@@ -206,7 +206,9 @@ def test_forecast_errors_do_not_depend_on_delta(T, seed, gamma, delta):
 def test_batch_stage_equals_scalar(T, seed, cut, pairs):
     """A batched lattice stage equals the scalar stages column by column,
     boundary times included, at every m up to T-1 (one step per
-    regression); discounts include 1.0."""
+    regression); discounts include 1.0.  The stage's variance read-outs
+    are those of its filter passes, whose batch columns
+    ``test_batch_smooth_equals_scalar`` checks."""
     m = min(cut, T - 1)
     G = len(pairs)
     gammas, deltas = (np.array(v) for v in zip(*pairs))
@@ -216,9 +218,31 @@ def test_batch_stage_equals_scalar(T, seed, cut, pairs):
     for g in range(G):
         sts = run_stage(f_prev[:, g], b_prev[:, g], m,
                         DiscountPair(gammas[g], deltas[g]), NIGPrior())
-        for name in ("alpha", "beta", "sf2", "f_next", "b_next"):
+        for name in ("alpha", "beta", "f_next", "b_next"):
             assert np.array_equal(getattr(sts, name), getattr(stb, name)[:, g]), name
-        np.testing.assert_allclose(sts.loglik, stb.loglik[g], rtol=1e-13)
+
+
+@given(T=st.integers(2, 40), seed=seeds, cut=st.integers(1, 39), gamma=discount,
+       deltas=st.lists(discount, min_size=1, max_size=4))
+def test_stage_does_not_depend_on_delta(T, seed, cut, gamma, deltas):
+    """A stage stores its smoothed means and the errors they give, which
+    depend on gamma alone: every stored field is the same bits at any delta
+    as at delta = 1, for a scalar stage and for a batch whose columns share
+    gamma."""
+    m = min(cut, T - 1)
+    G = len(deltas)
+    f_prev, b_prev = np.random.default_rng(seed).normal(size=(2, T, G))
+    at_one = run_stage(f_prev[:, 0], b_prev[:, 0], m, DiscountPair(gamma, 1.0), NIGPrior())
+    batch_at_one = run_stage(f_prev, b_prev, m, DiscountPair(np.full(G, gamma), np.ones(G)),
+                             NIGPrior())
+    for delta in deltas:
+        got = run_stage(f_prev[:, 0], b_prev[:, 0], m, DiscountPair(gamma, delta), NIGPrior())
+        for f in fields(StageResult):
+            assert _same_bits(getattr(got, f.name), getattr(at_one, f.name)), f.name
+    batch = run_stage(f_prev, b_prev, m, DiscountPair(np.full(G, gamma), np.array(deltas)),
+                      NIGPrior())
+    for f in fields(StageResult):
+        assert _same_bits(getattr(batch, f.name), getattr(batch_at_one, f.name)), f.name
 
 
 @given(T=st.integers(6, 80), seed=seeds, cut=st.integers(1, 4),

@@ -8,7 +8,7 @@ import pytest
 
 from blf import tvar
 from blf.dlm import DiscountPair, _block_sampler, backward_sample, default_prior
-from blf.lattice import filter_rows, run_lattice, stage_filters
+from blf.lattice import filter_rows, run_lattice, stage_filters, stage_variance
 from blf.simulate import gen_tvar2, gen_tvar6
 from blf.tvar import assemble_fit, parcor_to_tvar, path_sampler
 from helpers import classical_levinson, levinson_out_of_place, whole_paths
@@ -86,7 +86,7 @@ class TestAssembleFit:
         run = run_lattice(x, 3, DiscountPair(0.95, 0.95), default_prior(x))
         fit = assemble_fit(run, 3)
         assert np.array_equal(fit.coeffs[:, 2], run.stages[2].alpha)
-        assert np.array_equal(fit.sigma2, run.stages[2].sf2)
+        assert np.array_equal(fit.sigma2, stage_variance(run, 3))
 
     def test_ar1_coefficient_recovery(self):
         rng = np.random.default_rng(19)
