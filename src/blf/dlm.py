@@ -28,12 +28,13 @@ regression observes only the steps it has.
 A grid search reads only each pair's predictive log likelihood and the
 forecast errors, so it scores through ``_score``: the recurrences at the
 width of the series and gamma run over the whole series as in the filter,
-the degrees of freedom are rows of one cached (n, deltas) array, and
-kappa and the density run as one chunked sweep.  The series is split
-into chunks of K consecutive steps, with one row per chunk at the full
-batch width within a fixed byte budget: a first pass gives each chunk's
-local kappa, ``_scan`` carries the chunk ends, and a second pass adds up
-the density.  ``predictive_loglik`` and ``_score`` evaluate one density
+the degrees of freedom and the Student-t normalizers are read from one
+cache of tables per (v0, deltas, size), ``_t_tables``, and kappa and the
+density run as one chunked sweep.  The series is split into chunks of K
+consecutive steps, with one row per chunk at the full batch width within
+a fixed byte budget: a first pass gives each chunk's local kappa,
+``_scan`` carries the chunk ends, and a second pass adds up the
+density.  ``predictive_loglik`` and ``_score`` evaluate one density
 formula, its full-width terms in ``_density`` and the rest at the width
 of g.  Only ``forward_filter``, which the lattice runs, stores kappa at the
 full batch width.
@@ -337,46 +338,31 @@ def _df(v0: float, deltas: tuple, size: int) -> np.ndarray:
     return _scan(np.array(deltas), np.ones((size - 1, 1)), v0)
 
 
-@functools.lru_cache(maxsize=64)
-def _t_normalizer(v0: float, delta: float, size: int) -> np.ndarray:
-    """The prefix sums of lgamma((v_t + 1)/2) - lgamma(v_t/2) over the df
-    of :func:`_df` for one delta: entry k sums t < k, for k = 0..size."""
-    norm = np.zeros(size + 1)
-    np.cumsum([math.lgamma((u + 1.0) / 2.0) - math.lgamma(u / 2.0)
-               for u in _df(v0, (delta,), size).ravel().tolist()], out=norm[1:])
-    norm.flags.writeable = False
-    return norm
-
-
 @functools.lru_cache(maxsize=8)
-def _t_df(v0: float, deltas: tuple, size: int) -> np.ndarray:
-    """:func:`_df` of a search's deltas, kept for the scorer to slice: the
-    one stored copy of the df rows."""
+def _t_tables(v0: float, deltas: tuple, size: int):
+    """The Student-t tables of steps 1..size for the deltas in ``deltas``:
+    ``(df, norm)``, the df of :func:`_df` as (size, G), and as (G, size+1)
+    the prefix sums of lgamma((v_t + 1)/2) - lgamma(v_t/2) over each delta's
+    column, entry k summing t < k.  ``size`` is n rounded up to a power of
+    two, so every stage of a search shares one entry.  ``norm`` is built one
+    delta column at a time, so that Python floats of only one column are
+    alive at once."""
     df = _df(v0, deltas, size)
+    norm = np.zeros((len(deltas), size + 1))
+    for j in range(len(deltas)):
+        np.cumsum([math.lgamma((u + 1.0) / 2.0) - math.lgamma(u / 2.0)
+                   for u in df[:, j].tolist()], out=norm[j, 1:])
     df.flags.writeable = False
-    return df
-
-
-def _size(n: int) -> int:
-    """n rounded up to a power of two: every stage of a search shares the
-    cache entries of that size."""
-    return 1 << (n - 1).bit_length()
-
-
-def _summed_normalizer(v0: float, delta: np.ndarray, n: int) -> np.ndarray:
-    """The normalizers of steps 1..n summed from the cache, one per delta,
-    of the shape of ``delta``."""
-    size = _size(n)
-    return np.array([_t_normalizer(v0, dl, size)[n]
-                     for dl in delta.ravel().tolist()]).reshape(delta.shape)
+    norm.flags.writeable = False
+    return df, norm
 
 
 def _normalizer(v0: float, delta: np.ndarray, n: int):
-    """``(df, norm)`` of steps 1..n from the cache: the df v_0..v_{n-1}, a
-    view of shape ``(n,) + delta.shape``, and the summed normalizers, of
-    the shape of ``delta``."""
-    df = _t_df(v0, tuple(delta.ravel().tolist()), _size(n))
-    return df[:n].reshape((n,) + delta.shape), _summed_normalizer(v0, delta, n)
+    """``(df, norm)`` of steps 1..n from :func:`_t_tables`: the df
+    v_0..v_{n-1}, a view of shape ``(n,) + delta.shape``, and the summed
+    normalizers, of the shape of ``delta``."""
+    df, norm = _t_tables(v0, tuple(delta.ravel().tolist()), 1 << (n - 1).bit_length())
+    return df[:n].reshape((n,) + delta.shape), norm[:, n].reshape(delta.shape)
 
 
 # Bytes of one slab of chunk rows at the full batch width in ``_score``: at
@@ -409,8 +395,8 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
 
     norm_t = lgamma((v_{t-1} + 1)/2) - lgamma(v_{t-1}/2): the middle terms
     at the full batch width (:func:`_density`), the last at that of g.  The
-    df depend on (v0, delta) only, so the summed normalizers are taken from
-    a cache whose entries every stage of a search shares.  Returns a scalar
+    df depend on (v0, delta) only, so the summed normalizers are read from
+    the cached tables of :func:`_t_tables`.  Returns a scalar
     for 1-D states, an array of the batch shape otherwise.
     """
     df = fs.v[:-1]
@@ -419,7 +405,7 @@ def predictive_loglik(fs: FilterState) -> float | np.ndarray:
     kappa = fs.kappa[:-1]
     acc = np.zeros(kappa.shape)
     _density(kappa, fs.e * fs.e / fs.g, df + 1.0, acc, np.empty_like(acc))
-    norm = _summed_normalizer(float(fs.v.flat[0]), np.asarray(fs.delta), len(acc))
+    norm = _normalizer(float(fs.v.flat[0]), np.asarray(fs.delta), len(acc))[1]
     return _loglik(norm, acc, fs.g)
 
 
@@ -456,9 +442,10 @@ def _score(y, x, prior: NIGPrior, d: DiscountPair):
     prior, d)``, with no array at the full batch width that grows with n.
 
     e and g run over the whole series at the width of their inputs, as in
-    the filter, and so does b = e^2/g; the df are a view of the cached df
-    of the grid's deltas (:func:`_t_df`).  The full-width work, kappa and the density terms, runs as
-    one chunked sweep (Blelloch 1990): the n steps are nc chunks of K
+    the filter, and so does b = e^2/g; the df and the summed normalizers
+    are read from the cached tables of the grid's deltas
+    (:func:`_t_tables`).  The full-width work, kappa and the density terms,
+    runs as one chunked sweep (Blelloch 1990): the n steps are nc chunks of K
     consecutive steps (:func:`_chunks`), and each pass steps through the K
     steps of every chunk at once on (nc, width) slabs.
 

@@ -47,14 +47,14 @@ class StageResult:
     paths and ``f_next`` / ``b_next`` the prediction-error series for the
     next stage.  All four come from the two regressions' smoothed means,
     which depend on gamma alone.  The variance side of the stage is not
-    kept: it is a read-out of the stage's two filter passes, which are a
-    function of the stage's inputs, discounts and prior, and which
-    :func:`stage_filters` recomputes from a run.  Each pass has T-m+1
-    rows, mapped to the times 1..T by :func:`filter_rows`.  With
-    ``fs_f, fs_b = stage_filters(run, st.m)`` and
-    ``rows_f, rows_b = filter_rows(T, st.m)``, the forward regression's
-    variance path and predictive log likelihood, the scales of the PARCOR
-    paths' marginal t-posteriors and the backward variance path are::
+    kept: it is a read-out of the stage's filter passes, which are a
+    function of the stage's inputs, discounts and prior and are recomputed
+    from a run where they are read.  The TVAR fit reads only the forward
+    regression's pass, through :func:`stage_variance` and
+    ``LatticeRun.scree``; the scales of the PARCOR paths and the backward
+    variance path need both passes, ``fs_f, fs_b = stage_filters(run,
+    st.m)``.  Each pass has T-m+1 rows, mapped to the times 1..T by
+    ``rows_f, rows_b = filter_rows(T, st.m)``::
 
         sf2       = backward_smooth(fs_f).s[rows_f]   # stage_variance(run, st.m)
         loglik    = predictive_loglik(fs_f)           # run.scree[st.m - 1]
@@ -75,9 +75,10 @@ class LatticeRun:
     """Chained stage results for m = 1..P over one input series.
 
     A run is its inputs, the series ``x``, the P stage ``discounts`` and the
-    ``prior``, plus each stage's outputs; :func:`stage_filters` recomputes a
-    stage's filter passes from them, and :func:`stage_variance` and
-    ``scree`` read the variance side of the stages from those passes.
+    ``prior``, plus each stage's outputs, from which a stage's filter
+    passes are recomputed: :func:`stage_variance` and ``scree`` filter the
+    stage's forward regression alone, and :func:`stage_filters` both its
+    regressions.
     """
 
     stages: list[StageResult]
@@ -92,9 +93,9 @@ class LatticeRun:
     @property
     def scree(self) -> np.ndarray:
         """The forward regressions' predictive log likelihoods, stages
-        1..order, recomputed from each stage's forward pass
-        (:func:`stage_filters`) at every read."""
-        return np.array([predictive_loglik(stage_filters(self, m)[0])
+        1..order, from each stage's forward pass, which is recomputed at
+        every read and is the only pass filtered."""
+        return np.array([predictive_loglik(forward_filter(*_pass_inputs(self, m)))
                          for m in range(1, self.order + 1)])
 
 
@@ -151,7 +152,7 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     if np.broadcast_shapes(batch, np.shape(d.gamma), np.shape(d.delta)) != batch:
         raise ValueError("batched discounts need a (T, G) series, one column each")
 
-    f_obs, b_obs = f_prev[m:], b_prev[:T - m]
+    f_obs, b_obs = _regression(f_prev, b_prev, m)
     mu_f, gamma = _forecasts(f_obs, b_obs, prior, d)[4:]
     mu_f = _smooth_mean(mu_f, gamma)
     mu_b = _smooth_mean(_forecasts(b_obs, f_obs, prior, d)[4], gamma)
@@ -162,36 +163,44 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
                        f_next=f_next, b_next=b_next)
 
 
-def _filters(f_prev, b_prev, m: int, d: DiscountPair, prior: NIGPrior):
-    """The stage-m forward and backward filter passes at ``d`` and
-    ``prior``: the forward regression runs over t = m+1..T, the backward
-    over 1..T-m."""
-    f_obs, b_obs = f_prev[m:], b_prev[:f_prev.shape[0] - m]
-    return forward_filter(f_obs, b_obs, prior, d), forward_filter(b_obs, f_obs, prior, d)
+def _regression(f_prev, b_prev, m: int):
+    """The response and regressor ``(f_prev[m:], b_prev[:T-m])`` of stage
+    m's forward regression, over t = m+1..T; the backward regression is
+    the same pair swapped, over t = 1..T-m."""
+    return f_prev[m:], b_prev[:f_prev.shape[0] - m]
+
+
+def _pass_inputs(run: LatticeRun, m: int):
+    """``(y, x, prior, d)`` of stage m's forward filter pass in ``run``: the
+    regression of stage m-1's ``f_next``/``b_next`` (``x`` at m = 1) at
+    ``run.prior`` and ``run.discounts[m-1]``."""
+    if not (_is_count(m) and 1 <= m <= run.order):
+        raise ValueError(f"stage m={m!r} must be an integer with 1 <= m <= {run.order}")
+    prev = run.stages[m - 2]
+    f_prev, b_prev = (prev.f_next, prev.b_next) if m > 1 else (run.x, run.x)
+    return (*_regression(f_prev, b_prev, m), run.prior, run.discounts[m - 1])
 
 
 def stage_filters(run: LatticeRun, m: int) -> tuple[FilterState, FilterState]:
     """The forward and backward filter passes ``(fs_f, fs_b)`` of stage m of
     ``run``, recomputed from stage m-1's ``f_next``/``b_next`` (``x`` at
     m = 1), ``run.discounts[m-1]`` and ``run.prior``: their filtered means
-    are bit for bit the ones :func:`run_stage` smoothed.  The passes carry
-    the stage's discounts; the joint posterior sampler reads them (see
-    :func:`blf.tvar.path_sampler`), and so do :func:`stage_variance` and
-    ``LatticeRun.scree``."""
-    if not (_is_count(m) and 1 <= m <= run.order):
-        raise ValueError(f"stage m={m!r} must be an integer with 1 <= m <= {run.order}")
-    prev = run.stages[m - 2]
-    f_prev, b_prev = (prev.f_next, prev.b_next) if m > 1 else (run.x, run.x)
-    return _filters(f_prev, b_prev, m, run.discounts[m - 1], run.prior)
+    are bit for bit the ones :func:`run_stage` smoothed, and the passes
+    carry the stage's discounts.  The joint posterior sampler reads both
+    (see :func:`blf.tvar.path_sampler`); :func:`stage_variance` and
+    ``LatticeRun.scree`` filter only the forward regression."""
+    y, x, prior, d = _pass_inputs(run, m)
+    return forward_filter(y, x, prior, d), forward_filter(x, y, prior, d)
 
 
 def stage_variance(run: LatticeRun, m: int) -> np.ndarray:
     """The smoothed innovation-variance path of stage m's forward
     regression over the times 1..T, the last stage's being the TVAR fit's
-    ``sigma2``: read from the forward pass that :func:`stage_filters`
-    recomputes, through :func:`blf.dlm.backward_smooth` and the pass's rows
-    of :func:`filter_rows`."""
-    return backward_smooth(stage_filters(run, m)[0]).s[filter_rows(len(run.x), m)[0]]
+    ``sigma2``: :func:`blf.dlm.backward_smooth` of the stage's forward
+    pass, recomputed from the run, at the pass's rows of
+    :func:`filter_rows`."""
+    fs = forward_filter(*_pass_inputs(run, m))
+    return backward_smooth(fs).s[filter_rows(len(run.x), m)[0]]
 
 
 def _next_errors(f_prev, b_prev, m: int, mu_f, mu_b):
@@ -213,10 +222,10 @@ def run_lattice(x, P: int, per_stage, prior: NIGPrior) -> LatticeRun:
 
     ``per_stage`` is one DiscountPair, used at every stage, or a sequence
     of P of them, one per stage.  The run keeps ``x``, the P pairs as
-    ``discounts`` and ``prior`` with the stages, so that
-    :func:`stage_filters` can recompute any stage's filter passes.  A stage
-    computes only its means (:func:`run_stage`); the variance paths and the
-    scree are read from the recomputed passes where they are read.
+    ``discounts`` and ``prior`` with the stages, so that any stage's filter
+    passes can be recomputed.  A stage computes only its means
+    (:func:`run_stage`); the variance paths and the scree are read from the
+    recomputed forward passes where they are read.
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[0]

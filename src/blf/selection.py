@@ -39,7 +39,7 @@ from .dlm import (
     _score,
     default_prior,
 )
-from .lattice import LatticeRun, _is_count, run_lattice, run_stage
+from .lattice import LatticeRun, _is_count, _regression, run_lattice, run_stage
 # forward_filter and predictive_loglik stay bound here, unused: perfbench's
 # spans.py wraps selection.forward_filter and selection.predictive_loglik
 # by name.
@@ -261,7 +261,7 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     scree = np.empty(grid.p_max)
     f_prev, b_prev = x, x
     for m in range(1, grid.p_max + 1):
-        ll = _score(f_prev[m:], b_prev[:len(x) - m], prior, batch)[0].ravel()
+        ll = _score(*_regression(f_prev, b_prev, m), prior, batch)[0].ravel()
         _require_finite(ll, pair, m)
         best = int(np.argmax(ll))
         scree[m - 1] = ll[best]

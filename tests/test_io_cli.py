@@ -441,6 +441,22 @@ class TestCli:
         assert "error: --seed -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "s.csv", "--grid-step", "1e-15"],
+        ["simulate", "tvar2", "--T", "64", "--freq-step", "1e-15"],
+    ])
+    def test_impossible_array_exits_with_a_diagnostic(self, tmp_path, capsys,
+                                                      command):
+        """A step that asks for an array of petabytes ends in numpy's
+        MemoryError at once; it is printed as an error, not a traceback,
+        before anything is written."""
+        write_series_csv(tmp_path / "s.csv", np.random.default_rng(54).normal(size=60))
+        out = tmp_path / "out"
+        command = [str(tmp_path / c) if c == "s.csv" else c for c in command]
+        assert main(command + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
     def test_simulate_rejects_bad_freq_step(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "tvar2", "--T", "64", "--freq-step", "0.3",

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import blf.lattice
 from blf.dlm import (
     DiscountPair,
     NIGPrior,
@@ -14,7 +15,7 @@ from blf.dlm import (
     forward_filter,
     predictive_loglik,
 )
-from blf.lattice import _filters, run_lattice, run_stage, stage_filters, stage_variance
+from blf.lattice import run_lattice, run_stage, stage_filters, stage_variance
 from blf.selection import fit_blfdyn
 from blf.simulate import gen_tvar2, gen_tvar6
 from blf.tvar import path_sampler
@@ -72,7 +73,7 @@ class TestRunStage:
         run = run_lattice(rng.normal(size=T), m, d, prior)
         prev, st = run.stages[m - 2], run.stages[m - 1]
         f_prev, b_prev = prev.f_next, prev.b_next
-        fs_f, fs_b = _filters(f_prev, b_prev, m, d, prior)
+        fs_f, fs_b = stage_filters(run, m)
         for fs in (fs_f, fs_b):
             assert len(fs.mu) == T - m + 1 and len(fs.e) == T - m
             s, c, _ = readouts(fs)
@@ -227,6 +228,26 @@ class TestRunLattice:
             assert np.array_equal(stage_variance(run, m), want), m
             assert scree[m - 1] == predictive_loglik(fs), m
             f_prev, b_prev = st.f_next, st.b_next
+
+    def test_readouts_filter_only_the_forward_regression(self, monkeypatch):
+        """``run.scree`` runs one filter pass per stage and ``stage_variance``
+        one, the forward regression's; only ``stage_filters`` runs both."""
+        x = gen_tvar2(300, seed=8).x
+        run = run_lattice(x, 3, DiscountPair(0.95, 0.98), default_prior(x))
+        calls = []
+        real = blf.lattice.forward_filter
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(blf.lattice, "forward_filter", counted)
+        for read, want in ((lambda: run.scree, run.order),
+                           (lambda: stage_variance(run, 2), 1),
+                           (lambda: stage_filters(run, 2), 2)):
+            calls.clear()
+            read()
+            assert len(calls) == want
 
     def test_memory_is_four_paths_per_stage(self):
         """At T=16384, an order-6 lattice keeps four T-long paths per stage

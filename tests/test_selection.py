@@ -7,8 +7,8 @@ import pytest
 
 import blf.dlm
 import blf.selection
-from blf.dlm import DiscountPair, NIGPrior, default_prior, predictive_loglik
-from blf.lattice import _filters, run_lattice
+from blf.dlm import DiscountPair, NIGPrior, default_prior, forward_filter, predictive_loglik
+from blf.lattice import _regression, run_lattice
 from blf.selection import (
     SearchGrid,
     fit_blfdyn,
@@ -106,9 +106,9 @@ class TestFitters:
         rep = fit_blfdyn(x, grid=SMALL_GRID)
         chosen = rep.per_stage_discounts[0]
         prior = default_prior(x)
-        best = predictive_loglik(_filters(x, x, 1, chosen, prior)[0])
+        best = predictive_loglik(forward_filter(*_regression(x, x, 1), prior, chosen))
         for pair in SMALL_GRID.pairs():
-            assert best >= predictive_loglik(_filters(x, x, 1, pair, prior)[0])
+            assert best >= predictive_loglik(forward_filter(*_regression(x, x, 1), prior, pair))
 
     def test_white_noise_blffix_order_one(self):
         rng = np.random.default_rng(33)
@@ -203,7 +203,7 @@ class TestFitters:
             calls.append(v)
             return real(v)
 
-        blf.dlm._t_normalizer.cache_clear()
+        blf.dlm._t_tables.cache_clear()
         monkeypatch.setattr(blf.dlm.math, "lgamma", counted)
         T = 1024
         fitter(gen_tvar2(T, seed=40).x)
