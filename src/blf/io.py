@@ -209,7 +209,6 @@ def write_report(path, report: SelectionReport, tau: float) -> None:
         f"method: {report.method}",
         f"chosen_order: {report.chosen_order}",
         f"saturated: {report.saturated}",
-        f"p_max: {len(report.scree)}",
         f"tau: {fmt(tau)}",
         "gammas: " + ",".join(fmt(d.gamma) for d in report.per_stage_discounts),
         "deltas: " + ",".join(fmt(d.delta) for d in report.per_stage_discounts),
@@ -227,7 +226,7 @@ def read_report(path) -> dict:
         key, raw = key.strip(), raw.strip()
         if key in ("gammas", "deltas", "scree"):
             out[key] = [float(v) for v in raw.split(",")]
-        elif key in ("chosen_order", "p_max"):
+        elif key == "chosen_order":
             out[key] = int(raw)
         elif key == "saturated":
             out[key] = raw == "True"

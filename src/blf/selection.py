@@ -8,7 +8,7 @@ Two search strategies over a discount grid:
   their own order.
 * ``fit_blfdyn`` chooses the pair greedily stage by stage, maximizing the
   stage predictive log likelihood given the residuals fixed by the stages
-  already selected.
+  already selected, and stops at the stage where the order rule fires.
 
 Order selection applies the percent-change rule to a "scree" of per-stage
 log likelihoods.  Each method applies the rule to the scree its own search
@@ -21,9 +21,12 @@ data, which rewards small discounts without bound.  Scores need only the
 forward recurrences; each grid is scored through ``dlm._score``, whose
 full-width work runs as one chunked sweep over the series.  ``fit_blfdyn``
 chains its stages through ``lattice.run_stage``, which computes only their
-means, and keeps only their prediction errors.  The final model
-of both is the smoothed lattice at the selected discounts up to the
-selected order, built once after the search.
+means, and keeps only their prediction errors.  Its greedy stage m+1
+depends only on stages 1..m, so it applies the rule after each stage and
+scores no stage past the first one the rule stops at; ``fit_blffix`` needs
+every stage of a column whose rule saturates, so it scores all ``p_max``.
+The final model of both is the smoothed lattice at the selected discounts
+up to the selected order, built once after the search.
 """
 
 from __future__ import annotations
@@ -89,8 +92,10 @@ class SelectionReport:
     """Outcome of a selection run: scree, discounts, order and final fit.
 
     ``run`` holds the stages of the final model, so ``chosen_order`` is
-    ``run.order``; for the searches ``per_stage_discounts`` and ``scree``
-    stay ``p_max`` long.
+    ``run.order``.  ``per_stage_discounts`` and ``scree`` hold the stages
+    the search scored: for ``fit_blffix`` all ``p_max``, for ``fit_blfdyn``
+    the stages its order rule read, ``chosen_order + 1`` where the rule
+    fired and ``p_max`` where it saturated.
     """
 
     method: str
@@ -248,7 +253,12 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
     At each stage every grid pair is scored on the residuals fixed by the
     previously selected stages; the stage keeps the pair with the highest
     forward predictive log likelihood (ties to the earliest pair in gamma-
-    then-delta order).  The search chains its stages through
+    then-delta order).  After each stage the percent-change rule reads the
+    scree so far, and the search stops at the first stage where it fires:
+    stage m+1 depends only on stages 1..m, so no later stage could change
+    the order or the stages kept.  All ``p_max`` stages are scored only
+    when the rule saturates, and the report's scree and discounts hold the
+    stages scored.  The search chains its stages through
     :func:`blf.lattice.run_stage` at the chosen pair and keeps only the
     prediction errors it feeds the next stage; the final model is the
     lattice at the chosen pairs up to the selected order, built once at the
@@ -266,14 +276,15 @@ def fit_blfdyn(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
         best = int(np.argmax(ll))
         scree[m - 1] = ll[best]
         discounts.append(pair(best))
-        if m < grid.p_max:
-            stage = run_stage(f_prev, b_prev, m, discounts[-1], prior)
-            f_prev, b_prev = stage.f_next, stage.b_next
-            del stage  # its PARCOR paths are not held through the next score
+        order = select_order(scree[:m], tau)
+        if order < m or m == grid.p_max:
+            break
+        stage = run_stage(f_prev, b_prev, m, discounts[-1], prior)
+        f_prev, b_prev = stage.f_next, stage.b_next
+        del stage  # its PARCOR paths are not held through the next score
 
-    order = select_order(scree, tau)
     run = run_lattice(x, order, discounts[:order], prior)
-    return _report("blfdyn", run, discounts, scree, order == grid.p_max)
+    return _report("blfdyn", run, discounts, scree[:m], order == grid.p_max)
 
 
 def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,

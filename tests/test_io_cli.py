@@ -185,7 +185,7 @@ class TestFitAndReportFiles:
         assert back["chosen_order"] == report.chosen_order
         assert back["saturated"] == report.saturated
         assert back["tau"] == 0.5
-        assert back["p_max"] == 3
+        assert "p_max" not in back
         np.testing.assert_array_equal(back["scree"], report.scree)
         np.testing.assert_array_equal(
             back["gammas"], [d.gamma for d in report.per_stage_discounts])
@@ -209,7 +209,9 @@ class TestFitAndReportFiles:
         with open(tmp_path / "s.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["m", "loglik", "pct_change"]
-        assert len(rows) == 1 + 3
+        # The fixture's order rule saturates at p_max = 3: one row per stage.
+        assert report.saturated
+        assert len(rows) == 1 + len(report.scree) == 1 + 3
         assert rows[1][2] == ""
         assert rows[2][2] != ""
 

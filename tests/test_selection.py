@@ -87,15 +87,17 @@ class TestSearchGrid:
 class TestFitters:
     def test_singleton_grid_dyn_equals_fix_on_white_noise(self):
         """Degenerate grid: both searches land on the same configuration and
-        order, so the fits are bit-identical."""
+        order, so the fits are bit-identical.  blfdyn reports only the stages
+        its order rule read, blffix all p_max of them."""
         rng = np.random.default_rng(31)
         x = rng.normal(size=400)
         grid = SearchGrid(gammas=(1.0,), deltas=(1.0,), p_max=4)
         rd = fit_blfdyn(x, grid=grid)
         rf = fit_blffix(x, grid=grid)
-        assert rd.chosen_order == rf.chosen_order == 1
-        assert [(d.gamma, d.delta) for d in rd.per_stage_discounts] == \
-               [(d.gamma, d.delta) for d in rf.per_stage_discounts]
+        order = rd.chosen_order
+        assert order == rf.chosen_order == 1
+        assert [(d.gamma, d.delta) for d in rd.per_stage_discounts[:order]] == \
+               [(d.gamma, d.delta) for d in rf.per_stage_discounts[:order]]
         assert np.array_equal(rd.fit.coeffs, rf.fit.coeffs)
         assert np.array_equal(rd.fit.sigma2, rf.fit.sigma2)
 
@@ -153,7 +155,9 @@ class TestFitters:
         """The report's run holds exactly the chosen stages, and they are the
         smoothed lattice at the selected per-stage discounts, bit for bit.
         The TVAR6 case saturates, so blfdyn's run keeps stage p_max too; a
-        p_max=1 grid always saturates at order 1."""
+        p_max=1 grid always saturates at order 1.  blfdyn reports the
+        stages its order rule read (order + 1 where it fired, p_max where it
+        saturated), blffix all p_max."""
         sat_grid = SearchGrid(SMALL_GRID.gammas, SMALL_GRID.deltas, p_max=3)
         one_grid = SearchGrid(SMALL_GRID.gammas, SMALL_GRID.deltas, p_max=1)
         for proc, grid in ((gen_tvar2(400, seed=37), SMALL_GRID),
@@ -162,7 +166,8 @@ class TestFitters:
             rep = fitter(proc.x, grid=grid)
             order = rep.chosen_order
             assert rep.run.order == order
-            assert len(rep.per_stage_discounts) == len(rep.scree) == grid.p_max
+            read = grid.p_max if fitter is fit_blffix or rep.saturated else order + 1
+            assert len(rep.per_stage_discounts) == len(rep.scree) == read
             assert rep.saturated or grid is SMALL_GRID
             ref = run_lattice(proc.x, order, rep.per_stage_discounts[:order],
                               default_prior(proc.x))
@@ -227,6 +232,49 @@ class TestFitters:
             fit_fixed([], DiscountPair(1.0, 1.0), 1)
 
 
+class TestBlfdynStop:
+    """The greedy search stops at the stage where its order rule fires: its
+    stage m+1 depends only on stages 1..m, so later stages change nothing
+    the fit returns."""
+
+    def test_report_does_not_depend_on_p_max_past_the_stop(self):
+        """Every p_max from the stages the rule read up to 15 gives the
+        same report, bit for bit (prefix consistency of orders)."""
+        x = gen_tvar2(1024, seed=12).x
+        ref = fit_blfdyn(x)
+        read = len(ref.scree)
+        assert not ref.saturated and read == ref.chosen_order + 1 < 15
+        for p_max in range(read, 16):
+            rep = fit_blfdyn(x, grid=SearchGrid(p_max=p_max))
+            assert rep.chosen_order == ref.chosen_order, p_max
+            assert not rep.saturated
+            assert rep.per_stage_discounts == ref.per_stage_discounts
+            assert np.array_equal(rep.scree, ref.scree)
+            assert np.array_equal(rep.fit.coeffs, ref.fit.coeffs)
+            assert np.array_equal(rep.fit.sigma2, ref.fit.sigma2)
+
+    @pytest.mark.parametrize("make, saturates", [(gen_tvar2, False), (gen_tvar6, True)],
+                             ids=["fires", "saturates"])
+    def test_scores_only_the_stages_the_rule_reads(self, make, saturates, monkeypatch):
+        """The search scores each stage up to the one where its rule fires;
+        a rule that never fires (TVAR6 at p_max = 3) has all p_max scored
+        and reported, and the report says it saturated."""
+        real = blf.selection._score
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(blf.selection, "_score", counted)
+        grid = SearchGrid(SMALL_GRID.gammas, SMALL_GRID.deltas,
+                          p_max=3 if saturates else 15)
+        rep = fit_blfdyn(make(400, seed=37).x, grid=grid)
+        assert rep.saturated == saturates
+        read = grid.p_max if saturates else rep.chosen_order + 1
+        assert len(calls) == len(rep.scree) == len(rep.per_stage_discounts) == read
+
+
 def test_blffix_memory_is_bounded_by_its_narrow_arrays():
     """At T=16384 on the default 11 x 11 grid, a blffix fit's traced peak
     stays within what its causal pass keeps: at most three error series
@@ -279,10 +327,10 @@ class TestScreeTable:
         x = rng.normal(size=300)
         rep = fit_blfdyn(x, grid=SMALL_GRID)
         rows = scree_table(rep)
-        assert len(rows) == SMALL_GRID.p_max
+        assert len(rows) == len(rep.scree) >= 2
         assert rows[0][2] is None
         assert all(pct is not None for _, _, pct in rows[1:])
-        assert [m for m, _, _ in rows] == [1, 2, 3, 4]
+        assert [m for m, _, _ in rows] == list(range(1, len(rep.scree) + 1))
 
     def test_tvar2_pct_below_threshold_at_three(self):
         proc = gen_tvar2(1024, seed=12)
