@@ -40,6 +40,7 @@ from .dlm import (
     NIGPrior,
     _forecasts,
     _score,
+    _validate_series,
     default_prior,
 )
 from .lattice import LatticeRun, _is_count, _regression, run_lattice, run_stage
@@ -153,11 +154,22 @@ def select_order(scree, tau: float = 0.5) -> int:
     return int(_order_rule(np.asarray(scree, dtype=float), tau))
 
 
+def _series(x) -> np.ndarray:
+    """``x`` as a float array, if it is a finite 1-D series: the one entry
+    check of every fitter, run before :func:`blf.dlm.default_prior` reads
+    the series.  The errors name x, its shape or the first non-finite t."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"the series x must be 1-D, got shape {x.shape}")
+    return _validate_series(x, "x")
+
+
 def _search_inputs(x, grid: SearchGrid | None,
                    prior: NIGPrior | None) -> tuple[SearchGrid, np.ndarray, NIGPrior]:
-    """Defaults and the series-length rule shared by both searches."""
+    """Defaults, the entry check and the series-length rule shared by both
+    searches."""
     grid = SearchGrid() if grid is None else grid
-    x = np.asarray(x, dtype=float)
+    x = _series(x)
     if grid.p_max >= len(x):
         raise ValueError(f"series of length T={len(x)} is too short for "
                          f"p_max={grid.p_max}; the searches need p_max < T")
@@ -317,7 +329,7 @@ def fit_blffix(x, grid: SearchGrid | None = None, prior: NIGPrior | None = None,
 def fit_fixed(x, d: DiscountPair, order: int,
               prior: NIGPrior | None = None) -> SelectionReport:
     """No search: fit the lattice at the given discounts and order."""
-    x = np.asarray(x, dtype=float)
+    x = _series(x)
     prior = default_prior(x) if prior is None else prior
     run = run_lattice(x, order, d, prior)
     return _report("fixed", run, run.discounts, run.scree, False)

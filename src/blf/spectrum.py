@@ -235,8 +235,8 @@ def _merge_pieces(coeffs, sigma2, pieces, start, tables, work, mean_log, m2,
                   weight, spread):
     """Log density moments of the time pieces ``pieces`` of one block of a
     chunk of draws, merged into rows ``start + piece`` of the running
-    moments.  Returns the block-relative (t, w) indices of the first
-    non-finite density and merges nothing from there on, or None."""
+    moments.  Returns the (t, w) indices of the first non-finite density
+    and merges nothing from there on, or None."""
     size = len(coeffs)
     for piece in pieces:
         logs = _transfer_power(coeffs[:, piece], None, work, tables)
@@ -255,7 +255,7 @@ def _merge_pieces(coeffs, sigma2, pieces, start, tables, work, mean_log, m2,
         bad = ~np.isfinite(cm2)
         if bad.any():
             i, l = np.argwhere(bad)[0]
-            return piece.start + i, l
+            return start + piece.start + i, l
         cmean += shift
         rows = slice(start + piece.start, start + piece.stop)
         delta = cmean - mean_log[rows]
@@ -263,30 +263,6 @@ def _merge_pieces(coeffs, sigma2, pieces, start, tables, work, mean_log, m2,
         m2[rows] += cm2  # two adds: (m2 + cm2) + spread term, in that order
         m2[rows] += delta**2 * spread
     return None
-
-
-def _merge_block(pool, works, start, coeffs, sigma2, tables, mean_log, m2,
-                 weight, spread):
-    """Merge one time block of a chunk into the running moments, its pieces
-    shared out over the pool's threads in runs of consecutive pieces, one
-    work array ``works[k]`` per run.  Returns the first (t, w) indices
-    whose density is not finite, or None."""
-    size, B = coeffs.shape[:2]
-    L = tables[0].shape[1]
-    pieces = _pieces(B, size * L)
-    n = len(pieces)
-    lanes = min(len(works), n)
-    # Work arrays live across blocks: a fresh one per piece faults anew.
-    need = 2 * size * -(-B // n) * L
-    futures = []
-    for k in range(lanes):
-        if works[k].size < need:
-            works[k] = np.empty(need)
-        futures.append(pool.submit(
-            _merge_pieces, coeffs, sigma2, pieces[n * k // lanes:n * (k + 1) // lanes],
-            start, tables, works[k], mean_log, m2, weight, spread))
-    hits = [h for h in [f.result() for f in futures] if h is not None]
-    return (start + hits[0][0], hits[0][1]) if hits else None
 
 
 def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
@@ -370,9 +346,24 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
                 if start + coeffs.shape[1] != (T if edge is None else edge):
                     raise ValueError(_BLOCK_ORDER)
                 edge = start
+                # The block's pieces go out in runs of consecutive pieces,
+                # one run and one work array works[k] per thread.  Work
+                # arrays live across blocks: a fresh one per piece faults anew.
+                B, L = coeffs.shape[1], len(freqs)
+                pieces = _pieces(B, len(coeffs) * L)
+                n = len(pieces)
+                lanes = min(len(works), n)
+                need = 2 * len(coeffs) * -(-B // n) * L
+                futures = []
+                for k in range(lanes):
+                    if works[k].size < need:
+                        works[k] = np.empty(need)
+                    futures.append(pool.submit(
+                        _merge_pieces, coeffs, sigma2, pieces[n * k // lanes:n * (k + 1) // lanes],
+                        start, tables, works[k], mean_log, m2, weight, spread))
+                hits = [h for h in [f.result() for f in futures] if h is not None]
                 # Blocks run back in time, so a later find is an earlier t.
-                bad = _merge_block(pool, works, start, coeffs, sigma2, tables,
-                                   mean_log, m2, weight, spread) or bad
+                bad = hits[0] if hits else bad
                 del coeffs, sigma2  # free this block's paths before the next
             if edge != 0:
                 raise ValueError(_BLOCK_ORDER)

@@ -1,8 +1,8 @@
 """Time-varying Levinson recursion and assembly of TVAR fits.
 
 Converts per-stage partial-autocorrelation trajectories into the
-coefficients of a time-varying AR model, one time point at a time (the
-recursion has no coupling across t).
+coefficients of a time-varying AR model.  ``_levinson`` runs the recursion
+at every time point at once, since it has no coupling across t.
 """
 
 from __future__ import annotations

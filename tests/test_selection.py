@@ -232,6 +232,43 @@ class TestFitters:
             fit_fixed([], DiscountPair(1.0, 1.0), 1)
 
 
+def _fit_fixed_order_two(x):
+    return fit_fixed(x, DiscountPair(0.98, 0.98), 2)
+
+
+ALL_FITTERS = pytest.mark.parametrize(
+    "fitter", [fit_blfdyn, fit_blffix, _fit_fixed_order_two],
+    ids=["blfdyn", "blffix", "fixed"])
+
+
+class TestEntryCheck:
+    """Every fitter takes a finite 1-D series and refuses any other with a
+    ValueError that names x, before the default prior reads it."""
+
+    @ALL_FITTERS
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_names_x_and_its_t(self, fitter, value):
+        """Not the stage-1 regression's y at t=5, and not np.var's
+        RuntimeWarning for an inf, which the suite raises as an error."""
+        x = np.random.default_rng(41).normal(size=200)
+        x[5] = value
+        with pytest.raises(ValueError, match=r"non-finite value in x at t=6$"):
+            fitter(x)
+
+    @ALL_FITTERS
+    def test_two_dimensional_series_is_refused(self, fitter):
+        """fit_fixed used to return coeffs of shape (200, 2, 2)."""
+        x = np.random.default_rng(42).normal(size=(200, 2))
+        with pytest.raises(ValueError, match=r"x must be 1-D, got shape \(200, 2\)"):
+            fitter(x)
+
+    @ALL_FITTERS
+    def test_scalar_series_is_refused(self, fitter):
+        """fit_fixed used to raise a TypeError from len()."""
+        with pytest.raises(ValueError, match=r"x must be 1-D, got shape \(\)"):
+            fitter(np.float64(3.0))
+
+
 class TestBlfdynStop:
     """The greedy search stops at the stage where its order rule fires: its
     stage m+1 depends only on stages 1..m, so later stages change nothing

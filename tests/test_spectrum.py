@@ -360,6 +360,30 @@ class TestSpectrumPosterior:
         with pytest.raises(ValueError, match=rf"density at t={named}, freq=0\.0$"):
             spectrum_posterior(draw, 64, default_freq_grid(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("hits, named", [
+        (((0, 3), (9, 15)), 3), (((9, 3), (0, 15)), 3), (((5, 3), (5, 15)), 3),
+        (((9, 15),), 15),
+    ])
+    def test_unit_roots_in_two_pieces_of_one_block_name_the_earliest(
+            self, monkeypatch, workers, hits, named):
+        """T=20 in one block at 64 draws x 101 frequencies is two pieces of
+        10 steps, one lane each on two workers.  Unit roots at (draw, t) in
+        both pieces name the earlier t, whichever draw holds it; one in the
+        second piece alone is named."""
+        assert spectrum._pieces(20, 64 * 101) == [slice(0, 10), slice(10, 20)]
+        monkeypatch.setattr(spectrum, "_workers", lambda: workers)
+        coeffs = np.random.default_rng(5).uniform(-0.3, 0.3, size=(64, 20, 2))
+        for i, t in hits:
+            coeffs[i, t - 1] = [1.0, 0.0]
+        sigma2 = np.ones((64, 20))
+
+        def draw(rng, size):
+            return time_blocks(coeffs[:size], sigma2[:size])
+
+        with pytest.raises(ValueError, match=rf"density at t={named}, freq=0\.0$"):
+            spectrum_posterior(draw, 64, default_freq_grid(), np.random.default_rng(0))
+
     def test_rejects_blocks_out_of_time_order(self):
         coeffs, sigma2 = np.zeros((4, 20, 2)), np.ones((4, 20))
 
