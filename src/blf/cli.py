@@ -43,6 +43,8 @@ def _grid_from_args(args) -> SearchGrid:
     lo, hi, step = args.grid_min, args.grid_max, args.grid_step
     if not (0 < lo <= hi <= 1 and 0 < step < np.inf):
         raise ValueError("grid bounds must satisfy 0 < min <= max <= 1 with step > 0")
+    if np.round(lo, 10) == 0:  # then the grid's first value would be 0
+        raise ValueError(f"--grid-min {lo!r} rounds to 0 at the grid's 10 decimals")
     vals = np.round(np.arange(lo, hi + step / 2, step), 10)
     vals = tuple(vals[vals <= hi])  # the half step of slack can overshoot max
     return SearchGrid(gammas=vals, deltas=vals, p_max=args.p_max)
@@ -110,8 +112,8 @@ def cmd_fit(args) -> int:
                          f"{args.method} selects the order and discounts itself")
     freqs = default_freq_grid(args.freq_step)
     rng = _generator(args.seed)
-    x = read_series_csv(args.input)
     grid = _grid_from_args(args)
+    x = read_series_csv(args.input)
     prior = replace(default_prior(x), **_prior_flags(args))
 
     if args.method == "blfdyn":

@@ -23,21 +23,25 @@ Every recurrence has a coefficient that is constant in time (gamma, delta
 or gamma^2) and runs through one doubling kernel, ``_scan``: the forward
 filter's P, h = P mu, v and kappa forwards in time, the smoother's and the
 sampler's backwards on time-reversed views.  Every step learns: a
-regression observes only the steps it has.
+regression observes only the steps it has.  A lattice stage's two
+regressions, y on x and x on y, share the numerator h = P mu of their
+means, which runs on the same product x y at the same gamma from the same
+start, so ``_stage_pair`` scans h once for the pair.
 
 A grid search reads only each pair's predictive log likelihood and the
-forecast errors, so it scores through ``_score``: the recurrences at the
-width of the series and gamma run over the whole series as in the filter,
-the degrees of freedom and the Student-t normalizers are read from one
-cache of tables per (v0, deltas, size), ``_t_tables``, and kappa and the
-density run as one chunked sweep.  The series is split into chunks of K
-consecutive steps, with one row per chunk at the full batch width within
-a fixed byte budget: a first pass gives each chunk's local kappa,
-``_scan`` carries the chunk ends, and a second pass adds up the
-density.  ``predictive_loglik`` and ``_score`` evaluate one density
-formula, its full-width terms in ``_density`` and the rest at the width
-of g.  Only ``forward_filter``, which the lattice runs, stores kappa at the
-full batch width.
+forecast errors, so it scores through ``_score``: the forecasts, then the
+density step ``_chunked_loglik``, which the causal scree runs on its stage
+pairs' forward errors.  The recurrences at the width of the series and
+gamma run over the whole series as in the filter, the degrees of freedom
+and the Student-t normalizers are read from one cache of tables per (v0,
+deltas, size), ``_t_tables``, and kappa and the density run as one chunked
+sweep.  The series is split into chunks of K consecutive steps, with one
+row per chunk at the full batch width within a fixed byte budget: a first
+pass gives each chunk's local kappa, ``_scan`` carries the chunk ends, and
+a second pass adds up the density.  ``predictive_loglik`` and
+``_chunked_loglik`` evaluate one density formula, its full-width terms in
+``_density`` and the rest at the width of g.  Only ``forward_filter``,
+which the lattice runs, stores kappa at the full batch width.
 """
 
 from __future__ import annotations
@@ -228,7 +232,27 @@ def _forecasts(y, x, prior: NIGPrior, d: DiscountPair):
     """The recurrences of :func:`forward_filter` that run at the width of
     the series and ``gamma``: returns ``(e, g, delta, P, mu, gamma)``, the
     discounts with one axis per batch axis.  The forecast errors ``e`` are
-    the same bits at any ``delta``."""
+    the same bits at any ``delta``.  This is the forward regression of
+    :func:`_stage_pair`."""
+    return _stage_pair(y, x, prior, d)[:6]
+
+
+def _stage_pair(y, x, prior: NIGPrior, d: DiscountPair):
+    """The mean recurrences of a lattice stage's two regressions, y on x
+    (forward) and x on y (backward): ``(e, g, delta, P, mu, gamma,
+    backward)``, the forward regression's as :func:`_forecasts` returns
+    them, and ``backward()``, which returns the backward regression's
+    ``(e, mu)``, bit for bit those of ``_forecasts(x, y, prior, d)``.
+
+    Both numerators h_t = gamma h_{t-1} + x_t y_t run on the same product
+    at the same gamma from the same h_0 = mu_0 P_0, since P_0 = s_0/c_0 is
+    the prior's alone, so h is one array and is scanned once; each
+    regression has its own precision P (of x^2 forwards, of y^2
+    backwards), and the backward one needs no g.  ``backward`` holds h and
+    the series, not the forward P and mu, so a caller that drops those
+    before calling it frees them before the backward scan, and one that
+    never calls it never pays for it.
+    """
     y = _validate_series(y, "y")
     x = _validate_series(x, "x")
     if y.shape != x.shape:
@@ -246,15 +270,27 @@ def _forecasts(y, x, prior: NIGPrior, d: DiscountPair):
     y = y.reshape(x.shape)
     gamma = gamma.reshape((1,) * (ndim - gamma.ndim) + gamma.shape)
     delta = delta.reshape((1,) * (ndim - delta.ndim) + delta.shape)
+    P0 = prior.kappa0 / prior.v0 / prior.c0
 
     xx = x * x
-    P = _scan(gamma, xx, prior.kappa0 / prior.v0 / prior.c0)
+    P = _scan(gamma, xx, P0)
     g = 1.0 + xx / (gamma * P[:-1])
     del xx  # one array of the series' width fewer alive through the mean's scan
-    mu = _scan(gamma, x * y, prior.mu0 * P[0]) / P
-    mu[0] = prior.mu0
-    e = y - mu[:-1] * x
-    return e, g, delta, P, mu, gamma
+    h = _scan(gamma, x * y, prior.mu0 * P[0])
+
+    def means(P, y, x):
+        """``(e, mu)`` of the regression of y on x with precision P."""
+        mu = h / P
+        mu[0] = prior.mu0
+        e = mu[:-1] * x
+        np.subtract(y, e, out=e)  # y - mu x, with no second array of its width
+        return e, mu
+
+    def backward():
+        return means(_scan(gamma, y * y, P0), x, y)
+
+    e, mu = means(P, y, x)
+    return e, g, delta, P, mu, gamma, backward
 
 
 def _scan(a, b: np.ndarray, first) -> np.ndarray:
@@ -439,7 +475,17 @@ def _chunks(n: int, width: int) -> tuple[int, int]:
 
 def _score(y, x, prior: NIGPrior, d: DiscountPair):
     """``(predictive_loglik(fs), fs.e)`` of ``fs = forward_filter(y, x,
-    prior, d)``, with no array at the full batch width that grows with n.
+    prior, d)``, with no array at the full batch width that grows with n:
+    the forecasts of :func:`_forecasts`, then the density of
+    :func:`_chunked_loglik`."""
+    e, g, delta = _forecasts(y, x, prior, d)[:3]
+    return _chunked_loglik(e, g, delta, prior), e
+
+
+def _chunked_loglik(e, g, delta, prior: NIGPrior):
+    """The predictive log likelihood of the forecast errors ``e`` and
+    factors ``g`` of a forward pass at discounts ``delta`` (as
+    :func:`_forecasts` returns them) and ``prior``.
 
     e and g run over the whole series at the width of their inputs, as in
     the filter, and so does b = e^2/g; the df and the summed normalizers
@@ -463,7 +509,6 @@ def _score(y, x, prior: NIGPrior, d: DiscountPair):
     same operations at any width, so a batch column equals its scalar run
     at the same number of chunks.
     """
-    e, g, delta = _forecasts(y, x, prior, d)[:3]
     n = len(e)
     b = e * e / g
     shape = np.broadcast_shapes(b.shape[1:], delta.shape)
@@ -490,7 +535,7 @@ def _score(y, x, prior: NIGPrior, d: DiscountPair):
         if k + 1 < K:
             kappa[:m] *= delta
             kappa[:m] += b[rows]
-    return _loglik(norm, acc, g), e
+    return _loglik(norm, acc, g)
 
 
 def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):

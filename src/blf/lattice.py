@@ -22,8 +22,8 @@ from .dlm import (
     DiscountPair,
     FilterState,
     NIGPrior,
-    _forecasts,
     _smooth_mean,
+    _stage_pair,
     backward_smooth,
     forward_filter,
     predictive_loglik,
@@ -135,9 +135,10 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     -------
     StageResult
         Each regression runs only the recurrences of its filtered means
-        (:func:`blf.dlm._forecasts`) and smooths only its mean, so no
-        variance, degrees of freedom or score is computed, and ``d.delta``
-        enters no array.  The variance side is a read-out of the stage's
+        and smooths only its mean, so no variance, degrees of freedom or
+        score is computed, and ``d.delta`` enters no array.  The two run as
+        one pair (:func:`blf.dlm._stage_pair`), which scans their shared
+        numerator h once.  The variance side is a read-out of the stage's
         filter passes (see :class:`StageResult`).
     """
     f_prev = np.asarray(f_prev, dtype=float)
@@ -152,10 +153,9 @@ def run_stage(f_prev, b_prev, m: int, d: DiscountPair,
     if np.broadcast_shapes(batch, np.shape(d.gamma), np.shape(d.delta)) != batch:
         raise ValueError("batched discounts need a (T, G) series, one column each")
 
-    f_obs, b_obs = _regression(f_prev, b_prev, m)
-    mu_f, gamma = _forecasts(f_obs, b_obs, prior, d)[4:]
+    mu_f, gamma, backward = _stage_pair(*_regression(f_prev, b_prev, m), prior, d)[4:]
     mu_f = _smooth_mean(mu_f, gamma)
-    mu_b = _smooth_mean(_forecasts(b_obs, f_obs, prior, d)[4], gamma)
+    mu_b = _smooth_mean(backward()[1], gamma)
 
     f_next, b_next = _next_errors(f_prev, b_prev, m, mu_f, mu_b)
     rows_f, rows_b = filter_rows(T, m)

@@ -18,13 +18,15 @@ outputs are its one-step forecast errors.  The causal scree is what makes
 fixed-pair totals comparable across the grid: chaining smoothed residuals
 instead lets every extra stage shrink the series a little using future
 data, which rewards small discounts without bound.  Scores need only the
-forward recurrences; each grid is scored through ``dlm._score``, whose
-full-width work runs as one chunked sweep over the series.  ``fit_blfdyn``
-chains its stages through ``lattice.run_stage``, which computes only their
-means, and keeps only their prediction errors.  Its greedy stage m+1
-depends only on stages 1..m, so it applies the rule after each stage and
-scores no stage past the first one the rule stops at; ``fit_blffix`` needs
-every stage of a column whose rule saturates, so it scores all ``p_max``.
+forward recurrences; each grid is scored by ``dlm._chunked_loglik``, whose
+full-width work runs as one chunked sweep over the series, and a stage's
+two regressions share the numerator scan of their means
+(``dlm._stage_pair``).  ``fit_blfdyn`` chains its stages through
+``lattice.run_stage``, which computes only their means, and keeps only
+their prediction errors.  Its greedy stage m+1 depends only on stages
+1..m, so it applies the rule after each stage and scores no stage past the
+first one the rule stops at; ``fit_blffix`` needs every stage of a column
+whose rule saturates, so it scores all ``p_max``.
 The final model of both is the smoothed lattice at the selected discounts
 up to the selected order, built once after the search.
 """
@@ -38,8 +40,9 @@ import numpy as np
 from .dlm import (
     DiscountPair,
     NIGPrior,
-    _forecasts,
+    _chunked_loglik,
     _score,
+    _stage_pair,
     _validate_series,
     default_prior,
 )
@@ -210,19 +213,25 @@ def _causal_scree(x: np.ndarray, pair, batch: DiscountPair,
     shaped discounts and ``pair`` names a pair by index, as
     :func:`_batched_pairs` returns them; the result has shape
     (p_max, number of pairs).
-    Each stage is scored by :func:`blf.dlm._score`, which also returns the
-    forward errors.  The errors depend on gamma alone, so the series stay
-    one column per gamma, and the backward regression, whose only output
-    is its errors, runs only the recurrences that produce them.
+    Each stage runs both regressions through :func:`blf.dlm._stage_pair`,
+    which scans their shared numerator h once, and scores the forward
+    errors and factors by :func:`blf.dlm._chunked_loglik`, the density
+    step of blfdyn's scorer.  The errors depend on gamma alone, so the
+    series stay one column per gamma, and the backward regression, whose
+    only output is its errors, runs only its precision scan and its means;
+    at the last stage, whose backward errors nothing reads, it does not
+    run at all.
     """
     scree = np.empty((p_max, batch.gamma.size * batch.delta.size))
     f = b = x
     for m in range(1, p_max + 1):
-        ll, f_next = _score(f[1:], b[:-1], prior, batch)
-        scree[m - 1] = ll.ravel()
+        e, g, delta, P, mu, _, backward = _stage_pair(f[1:], b[:-1], prior, batch)
+        del P, mu  # not read, and not held through the backward scan
+        # The last stage's backward errors are never read.
+        f, b = e, (backward()[0] if m < p_max else None)
+        del backward  # it holds h and views of this stage's inputs
+        scree[m - 1] = _chunked_loglik(f, g, delta, prior).ravel()
         _require_finite(scree[m - 1], pair, m)
-        b = _forecasts(b[:-1], f[1:], prior, batch)[0]
-        f = f_next
     return scree
 
 

@@ -185,9 +185,12 @@ def ase(est: Spectrogram, truth: Spectrogram) -> float:
 
     (T L)^{-1} sum_t sum_l (log est - log truth)^2, natural logarithm.
 
-    Both surfaces are checked, est first, and the squared log ratio is
-    written piece by piece (``_pieces``) into one (T, L) buffer, whose mean
-    is taken at once, so the value has the bits of the whole-array formula.
+    Each surface's log is taken once, piece by piece (``_pieces``), est's
+    into one (T, L) buffer and truth's into a piece of scratch, and a cell
+    whose log is not finite (a cell that is 0, negative, NaN or infinite)
+    is refused, est first.  The squared log ratio is written into the
+    buffer, whose mean is taken at once, so the value has the bits of the
+    whole-array formula.
 
     Raises
     ------
@@ -202,21 +205,25 @@ def ase(est: Spectrogram, truth: Spectrogram) -> float:
     if T == 0:
         raise ValueError("spectrogram grid is empty: no time points")
     pieces = _pieces(T, L)
-    for name, spg in (("est", est), ("truth", truth)):
-        for rows in pieces:
-            cells = spg.values[rows]
-            bad = ~np.isfinite(cells) | (cells <= 0)
-            if np.any(bad):
-                i, l = np.argwhere(bad)[0]
-                raise ValueError(
-                    f"{name} surface not finite/positive at "
-                    f"t={spg.times[rows.start + i]}, freq={spg.freqs[l]}"
-                )
+
+    def log(name: str, spg: Spectrogram, rows: slice, out: np.ndarray) -> np.ndarray:
+        """The log of ``spg``'s ``rows`` into ``out``, if every one is finite."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(spg.values[rows], out=out)
+        finite = np.isfinite(out)
+        if not finite.all():
+            i, l = np.argwhere(~finite)[0]
+            raise ValueError(f"{name} surface not finite/positive at "
+                             f"t={spg.times[rows.start + i]}, freq={spg.freqs[l]}")
+        return out
+
     sq = np.empty((T, L))
+    for rows in pieces:
+        log("est", est, rows, sq[rows])
     work = np.empty(-(-T // len(pieces)) * L)
     for rows in pieces:
-        diff = np.log(est.values[rows], out=sq[rows])
-        diff -= np.log(truth.values[rows], out=work[:diff.size].reshape(diff.shape))
+        diff = sq[rows]
+        diff -= log("truth", truth, rows, work[:diff.size].reshape(diff.shape))
         np.square(diff, out=diff)
     return float(np.mean(sq))
 

@@ -483,6 +483,27 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert len(rows) == 2 and rows[1][5] == "ok"
 
+    @pytest.mark.parametrize("bounds", [
+        ["--grid-min", "1e-300", "--grid-max", "1e-300", "--grid-step", "1"],
+        ["--grid-min", "1e-11"],
+    ], ids=["min-max-1e-300", "min-1e-11"])
+    @pytest.mark.parametrize("command", [
+        ["fit", "s.csv"], ["benchmark", "tvar2", "--n", "1", "--T", "64"],
+    ], ids=["fit", "benchmark"])
+    def test_grid_bound_that_rounds_to_zero_is_named(self, tmp_path, capsys,
+                                                     command, bounds):
+        """The grid is rounded to 10 decimals; a --grid-min that rounds to 0
+        is refused by its flag and the value given, not by the 0 it became,
+        before anything is written."""
+        write_series_csv(tmp_path / "s.csv", np.random.default_rng(55).normal(size=60))
+        out = tmp_path / "out"
+        command = [str(tmp_path / c) if c == "s.csv" else c for c in command]
+        assert main(command + bounds + ["--out-dir", str(out)]) == 1
+        value = bounds[1]
+        assert capsys.readouterr().err == (f"error: --grid-min {value} rounds to 0 "
+                                           "at the grid's 10 decimals\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--n", "0", "need n >= 1"), ("--methods", ",", "need n >= 1"),
         ("--tau", "nan", "tau must be finite"),

@@ -6,7 +6,9 @@ orders and coefficients must come back bit for bit, and variances must
 scale by exactly 4^j.  Batch filtering, smoothing and lattice stages must
 equal the scalar runs column by column, and so must the predictive log
 likelihood, also for grid-shaped discounts and through the searches'
-time-blocked scorer.  A lower-order lattice is the first stages of a
+time-blocked scorer.  A lattice stage's pair step, which scans its two
+regressions' shared numerator once, equals two separate forecast runs bit
+for bit.  A lower-order lattice is the first stages of a
 higher-order one, bit for bit.  blffix's order rule over a whole scree
 in one array pass gives each column's order and saturation flag.  The
 plug-in spectrum and ASE over pieces of rows equal their whole-surface
@@ -28,7 +30,9 @@ from blf.dlm import (  # noqa: E402
     DiscountPair,
     FilterState,
     NIGPrior,
+    _forecasts,
     _score,
+    _stage_pair,
     backward_smooth,
     forward_filter,
     predictive_loglik,
@@ -184,6 +188,36 @@ def test_grid_score_equals_scalar(T, seed, rows, gammas, deltas):
         for i, j in np.ndindex(Gg, Gd):
             ll, e = _score(y, x, NIGPrior(), DiscountPair(gammas[i], deltas[j]))
             assert _same_bits(ll, llb[i, j]) and _same_bits(e, eb[:, i, 0])
+
+
+PAIR_LAYOUTS = {
+    # series shape, discounts: scalar, per column, or a gamma x delta grid
+    "1-D, scalar": (lambda T, G: (T,), lambda g, d: (g[0], d[0])),
+    "1-D, grid": (lambda T, G: (T,), lambda g, d: (g[:, None], d[None, :])),
+    "(T, G), scalar": (lambda T, G: (T, G), lambda g, d: (g[0], d[0])),
+    "(T, G), per column": (lambda T, G: (T, G), lambda g, d: (g, d)),
+    "(T, G, 1), grid": (lambda T, G: (T, G, 1), lambda g, d: (g[:, None], d[None, :])),
+}
+
+
+@given(T=st.integers(1, 40), seed=seeds, layout=st.sampled_from(sorted(PAIR_LAYOUTS)),
+       pairs=st.lists(st.tuples(discount, discount), min_size=1, max_size=4),
+       mu0=st.sampled_from([0.0, 0.3, -2.0]), c0=st.sampled_from([1.0, 0.05, 7.0]))
+def test_stage_pair_equals_two_forecasts(T, seed, layout, pairs, mu0, c0):
+    """A lattice stage's pair step gives the forward regression's e, g and
+    mu and, from its one scan of the shared numerator h, the backward
+    regression's e and mu, bit for bit as two separate forecast runs, for
+    1-D and batched series and scalar, per-column and grid discounts."""
+    series, discounts = PAIR_LAYOUTS[layout]
+    gammas, deltas = (np.array(v) for v in zip(*pairs))
+    y, x = np.random.default_rng(seed).normal(size=(2,) + series(T, len(pairs)))
+    prior = NIGPrior(mu0=mu0, c0=c0, kappa0=1.5)
+    d = DiscountPair(*discounts(gammas, deltas))
+    e, g, _, _, mu, _, backward = _stage_pair(y, x, prior, d)
+    fwd, bwd = _forecasts(y, x, prior, d), _forecasts(x, y, prior, d)
+    assert _same_bits(e, fwd[0]) and _same_bits(g, fwd[1]) and _same_bits(mu, fwd[4])
+    e_b, mu_b = backward()
+    assert _same_bits(e_b, bwd[0]) and _same_bits(mu_b, bwd[4])
 
 
 def _column(arr, i, j):

@@ -17,6 +17,7 @@ from blf.selection import (
     scree_table,
     select_order,
 )
+from blf.bench import GENERATORS
 from blf.simulate import gen_tvar2, gen_tvar6
 from helpers import static_nig_posterior
 
@@ -179,16 +180,18 @@ class TestFitters:
     @pytest.mark.parametrize("fitter", [fit_blfdyn, fit_blffix])
     def test_nonfinite_score_is_named(self, fitter, monkeypatch):
         """A NaN in one grid column never wins the argmax: the search stops
-        and names the stage and the (gamma, delta) pair."""
-        real = blf.selection._score
+        and names the stage and the (gamma, delta) pair.  The NaN comes from
+        the density step both searches score with, blfdyn through
+        ``dlm._score`` and blffix's causal scree directly."""
+        real = blf.dlm._chunked_loglik
 
         def nan_in_column_3(*args):
-            ll, e = real(*args)
-            ll = ll.copy()
+            ll = real(*args).copy()
             ll.reshape(-1)[3] = np.nan
-            return ll, e
+            return ll
 
-        monkeypatch.setattr(blf.selection, "_score", nan_in_column_3)
+        for module in (blf.dlm, blf.selection):
+            monkeypatch.setattr(module, "_chunked_loglik", nan_in_column_3)
         x = np.random.default_rng(38).normal(size=200)
         pair = SMALL_GRID.pairs()[3]
         with pytest.raises(ValueError, match=rf"m=1 .*\(gamma, delta\)="
@@ -230,6 +233,54 @@ class TestFitters:
             default_prior([])
         with pytest.raises(ValueError, match="non-empty series"):
             fit_fixed([], DiscountPair(1.0, 1.0), 1)
+
+
+class TestCausalScree:
+    """blffix's causal scree runs each stage's two regressions as one pair
+    step, sharing their numerator scan, and skips the last stage's backward
+    regression, whose errors nothing reads."""
+
+    @staticmethod
+    def chained(x, batch, p_max, prior):
+        """The scree as two separate forecast runs per stage give it: the
+        forward one scored, the backward one for its errors."""
+        scree = np.empty((p_max, batch.gamma.size * batch.delta.size))
+        f = b = x
+        for m in range(1, p_max + 1):
+            ll, f_next = blf.dlm._score(f[1:], b[:-1], prior, batch)
+            scree[m - 1] = ll.ravel()
+            b = blf.dlm._forecasts(b[:-1], f[1:], prior, batch)[0]
+            f = f_next
+        return scree
+
+    @pytest.mark.parametrize("process", ["tvar2", "tvar6", "piecewise"])
+    def test_equals_two_forecast_runs_per_stage(self, process):
+        grid = SearchGrid()
+        x = GENERATORS[process](1024, seed=3).x
+        prior = default_prior(x)
+        pair, batch = blf.selection._batched_pairs(grid)
+        got = blf.selection._causal_scree(x, pair, batch, grid.p_max, prior)
+        assert np.array_equal(got, self.chained(x, batch, grid.p_max, prior))
+
+    def test_last_stage_runs_no_backward_regression(self, monkeypatch):
+        """p_max stages run p_max pair steps and p_max - 1 backward
+        regressions."""
+        real = blf.selection._stage_pair
+        calls = []
+
+        def counted(*args):
+            *fwd, backward = real(*args)
+            calls.append("pair")
+
+            def counted_backward():
+                calls.append("backward")
+                return backward()
+
+            return (*fwd, counted_backward)
+
+        monkeypatch.setattr(blf.selection, "_stage_pair", counted)
+        fit_blffix(gen_tvar2(300, seed=5).x, grid=SMALL_GRID)
+        assert calls == ["pair", "backward"] * (SMALL_GRID.p_max - 1) + ["pair"]
 
 
 def _fit_fixed_order_two(x):

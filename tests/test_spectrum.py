@@ -235,6 +235,29 @@ class TestAse:
         with pytest.raises(ValueError, match=r"est surface .*t=8, freq=0.0"):
             ase(Spectrogram(good.times, freqs, values), bad)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf],
+                             ids=["zero", "negative", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("surface", ["est", "truth"])
+    def test_rejects_each_bad_cell_kind_on_each_surface(self, surface, value):
+        """A cell that is 0, negative, NaN or infinite has no finite log: it
+        is named, with no RuntimeWarning from the log (the suite raises them
+        as errors).  est is refused before truth, even where truth's bad
+        cell comes first."""
+        freqs = np.array([0.0, 0.1, 0.2])
+        good = tvar_spectrum(const_fit([0.5], T=6), freqs)
+        values = good.values.copy()
+        values[3, 2] = value
+        bad = Spectrogram(good.times, freqs, values)
+        est, truth = (bad, good) if surface == "est" else (good, bad)
+        with pytest.raises(ValueError, match=rf"^{surface} surface not "
+                           rf"finite/positive at t=4, freq=0\.2$"):
+            ase(est, truth)
+        if surface == "est":
+            values = good.values.copy()
+            values[0, 0] = value
+            with pytest.raises(ValueError, match=r"^est surface .*t=4, freq=0\.2$"):
+                ase(bad, Spectrogram(good.times, freqs, values))
+
     def test_rejects_empty_grid(self):
         """Two surfaces with no time point have no mean: a ValueError, not
         NaN with numpy's empty-slice RuntimeWarning."""
