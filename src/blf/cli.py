@@ -46,7 +46,9 @@ def _grid_from_args(args) -> SearchGrid:
     if np.round(lo, 10) == 0:  # then the grid's first value would be 0
         raise ValueError(f"--grid-min {lo!r} rounds to 0 at the grid's 10 decimals")
     vals = np.round(np.arange(lo, hi + step / 2, step), 10)
-    vals = tuple(vals[vals <= hi])  # the half step of slack can overshoot max
+    # The half step of slack can overshoot max, and steps below the 10
+    # decimals round to values already in the grid.
+    vals = tuple(np.unique(vals[vals <= hi]))
     return SearchGrid(gammas=vals, deltas=vals, p_max=args.p_max)
 
 

@@ -556,8 +556,8 @@ def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
     are made up front, in four generator calls: 1/sigma_n^2, every
     precision shock in backward-pass order, theta_n's normal, then the
     normals of steps n-1..0 when gamma < 1.  A shock of shape 0 (delta = 1)
-    is exactly 0 and uses no generator state.  This is the one-block case
-    of :func:`_block_sampler`.
+    is exactly 0 and uses no generator state.  This is one call of
+    :func:`_block_sampler` with ``rng`` as both of its generators.
 
     Parameters
     ----------
@@ -572,10 +572,11 @@ def backward_sample(fs: FilterState, rng: np.random.Generator, size: int):
     (theta_path, sigma2_path) : ndarray pair of shape (n + 1, size)
         Row t is time t = 0..n, as in the filter.
     """
-    return _block_sampler(fs, rng, size)(0)
+    return _block_sampler(fs, rng, rng, size)(0)
 
 
-def _block_sampler(fs: FilterState, rng: np.random.Generator, size: int):
+def _block_sampler(fs: FilterState, prec_rng: np.random.Generator,
+                   theta_rng: np.random.Generator, size: int):
     """The joint path draw of :func:`backward_sample`, made a block of rows
     at a time from the last row back.
 
@@ -584,13 +585,14 @@ def _block_sampler(fs: FilterState, rng: np.random.Generator, size: int):
     of (theta, sigma2), shape (hi - lo + 1, size); row hi is the one the
     previous call drew, carried as each recursion's starting value, since
     both recursions have a constant coefficient.  ``lo`` must not increase
-    from call to call.  A call makes its generator calls in the order of
-    :func:`backward_sample`: at the first call 1/sigma_n^2, the block's
-    precision shocks, theta_n's normal and the block's normals; later calls
-    the block's shocks and normals.  So one call with ``lo = 0`` is
-    :func:`backward_sample`, and a split draw of one regression uses the
-    generator's values in another order.  Between calls the sampler holds
-    one row of each recursion.
+    from call to call.  ``prec_rng`` gives 1/sigma_n^2 (first call) and the
+    block's precision shocks, ``theta_rng`` theta_n's normal (first call)
+    and the block's normals, in that order.  numpy's gamma and normal
+    draws take the same values when a call is split along its rows, so
+    with two distinct generators the draws do not depend on how the rows
+    are split into calls: any split gives the numbers of one call with
+    ``lo = 0``, and paths equal to rounding.  Between calls the sampler
+    holds one row of each recursion.
     """
     if fs.mu.ndim != 1:
         raise ValueError("backward_sample expects a filter over a single series")
@@ -602,13 +604,13 @@ def _block_sampler(fs: FilterState, rng: np.random.Generator, size: int):
         nonlocal hi, prec, theta
         first = prec is None
         if first:
-            prec = rng.gamma(fs.v[-1] / 2.0, 2.0 / fs.kappa[-1], size=size)
+            prec = prec_rng.gamma(fs.v[-1] / 2.0, 2.0 / fs.kappa[-1], size=size)
         new = slice(lo, hi)
-        shocks = rng.gamma(((1.0 - delta) * fs.v[new] / 2.0)[::-1, None],
-                           (2.0 / fs.kappa[new])[::-1, None],
-                           size=(hi - lo, size))[::-1]
-        z_n = rng.standard_normal(size) if first else None
-        z = (rng.standard_normal((hi - lo, size))[::-1] if gamma < 1.0
+        shocks = prec_rng.gamma(((1.0 - delta) * fs.v[new] / 2.0)[::-1, None],
+                                (2.0 / fs.kappa[new])[::-1, None],
+                                size=(hi - lo, size))[::-1]
+        z_n = theta_rng.standard_normal(size) if first else None
+        z = (theta_rng.standard_normal((hi - lo, size))[::-1] if gamma < 1.0
              else np.zeros((hi - lo, size)))
 
         # Work in place: every (rows, size) temporary adds to peak memory.

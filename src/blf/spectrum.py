@@ -291,11 +291,15 @@ def spectrum_posterior(draw_paths, n_draws: int, freqs=None,
     freqs : array_like, optional
         Frequency grid; defaults to 0..0.5 step 0.005.
     rng : numpy.random.Generator, optional
+        Passed to each ``draw_paths`` call; restoring its state replays the
+        surfaces.
     chunk : int
         Draws per ``draw_paths`` call (>= 1).
         :func:`blf.tvar.path_sampler` draws a chunk in time blocks whose
         two stage-major buffers hold at most 2 MiB, so its memory does not
         grow with T; at T = 1024 and P = 2 a 64-draw chunk is one block.
+        Its random numbers do not depend on that block layout, so the
+        surfaces depend on it by rounding only.
         Each block's log density, log sigma^2 - log |A(w)|^2 in real
         arithmetic, and its moments are evaluated over pieces of time steps
         whose cos and sin parts hold about ``_BLOCK_BYTES`` (1 MiB), and at

@@ -153,12 +153,11 @@ def path_sampler(run: LatticeRun, P: int):
     array.  Memory is the two buffers and a few (B + 1, size) rows of
     sampler output and temporaries, whatever T is.
 
-    A draw that fits one block (every ``blf fit --draws`` chunk of 64 draws
-    at P = 2 and T = 1024) makes its generator calls as
-    :func:`blf.dlm.backward_sample` would, one regression after another,
-    and gives the bits of whole-path draws.  With more blocks the
-    regressions' draws interleave block by block, so the same generator
-    gives other draws from the same posterior.
+    Each call of ``draw`` takes four integers from ``rng`` as the entropy
+    of a :class:`numpy.random.SeedSequence` and spawns from it two
+    generators per regression (:func:`blf.dlm._block_sampler`), so the
+    draws do not depend on the block layout: every split of the T steps
+    gives the same random numbers and paths equal to rounding.
     """
     _check_order(run, P)
     T = len(run.x)
@@ -169,16 +168,17 @@ def path_sampler(run: LatticeRun, P: int):
     def draw(rng: np.random.Generator, size: int):
         n = -(-T // max(1, _BLOCK_BYTES // (16 * P * max(size, 1))))
         edges = [T * i // n for i in range(n + 1)]
-        samplers = [(_block_sampler(fs, rng, size), rows) for fs, rows in regressions]
+        seeds = np.random.SeedSequence(rng.integers(0, 2**63, size=4)).spawn(4 * P)
+        gens = [np.random.default_rng(s) for s in seeds]
+        samplers = [(_block_sampler(fs, gens[2 * k], gens[2 * k + 1], size), rows)
+                    for k, (fs, rows) in enumerate(regressions)]
         # buf[0] holds the forward paths and buf[1] the backward, stage-major.
         buf = np.empty((2, P, -(-T // n), size))
         for i in range(n - 1, -1, -1):
             times = slice(edges[i], edges[i + 1])
             a, d = buf[:, :, :times.stop - times.start]
             for k, (sampler, rows) in enumerate(samplers):
-                # The first block draws down to row 0, as backward_sample
-                # does, although no time takes the backward filter's row 0.
-                lo = rows[times.start] if i else 0
+                lo = rows[times.start]
                 path, s2 = sampler(lo)
                 np.take(path, rows[times] - lo, axis=0, out=(a, d)[k % 2][k // 2])
                 if k == 2 * P - 2:  # the stage-P forward variance path

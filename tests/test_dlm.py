@@ -414,11 +414,12 @@ class TestBackwardSample:
         """Blocks of rows drawn back from row n, each recursion starting from
         the row the previous block ended on, follow a step-by-step loop in the
         same generator order (to rounding) and leave the generator where it
-        does; one block is backward_sample."""
+        does, with one generator passed as both; one block is
+        backward_sample."""
         rng = np.random.default_rng(14)
         fs = forward_filter(rng.normal(size=60), rng.normal(size=60), NIGPrior(), d)
         gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
-        rows = _block_sampler(fs, gen, 7)
+        rows = _block_sampler(fs, gen, gen, 7)
         hi, theta, sigma2 = 60, np.empty((61, 7)), np.empty((61, 7))
         for lo in lows:
             th, s2 = rows(lo)
@@ -434,6 +435,27 @@ class TestBackwardSample:
         if lows == [0]:
             whole = backward_sample(fs, np.random.default_rng(5), 7)
             assert np.array_equal(whole[0], theta) and np.array_equal(whole[1], sigma2)
+
+    @pytest.mark.parametrize("d", [DiscountPair(0.95, 0.9), DiscountPair(0.8, 1.0),
+                                   DiscountPair(1.0, 0.95)])
+    @pytest.mark.parametrize("lows", [[37, 36, 10, 0], [59, 30, 30, 1, 0], [40, 1]])
+    def test_two_generators_make_the_split_draw_one_draw(self, d, lows):
+        """With its own generator for the precisions and one for the
+        normals, a split draw uses the numbers of one call down to the same
+        last row: paths equal to rounding (the doubling scans run over
+        other lengths) and both generators end in one state."""
+        rng = np.random.default_rng(15)
+        fs = forward_filter(rng.normal(size=60), rng.normal(size=60), NIGPrior(), d)
+        gens = [np.random.default_rng(s) for s in (6, 7, 6, 7)]
+        rows = _block_sampler(fs, gens[0], gens[1], 7)
+        parts = [rows(lo) for lo in lows][::-1]
+        theta = np.concatenate([parts[0][0]] + [th[1:] for th, _ in parts[1:]])
+        sigma2 = np.concatenate([parts[0][1]] + [s2[1:] for _, s2 in parts[1:]])
+        ref_theta, ref_sigma2 = _block_sampler(fs, gens[2], gens[3], 7)(lows[-1])
+        np.testing.assert_allclose(theta, ref_theta, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(sigma2, ref_sigma2, rtol=1e-12)
+        assert gens[0].bit_generator.state == gens[2].bit_generator.state
+        assert gens[1].bit_generator.state == gens[3].bit_generator.state
 
 
 def loop_scan(a, b, first):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blf import cli
 from blf.bench import GENERATORS, BenchmarkRecord, summarize
 from blf.cli import main
 from blf.io import (
@@ -393,6 +394,29 @@ class TestCli:
         assert grids[0].gammas == grids[0].deltas == expected
         report = read_report(out / "report.txt")
         assert set(report["gammas"]) | set(report["deltas"]) <= set(expected)
+
+    @pytest.mark.parametrize("command, target", [
+        (["fit", "s.csv"], "fit_blfdyn"),
+        (["benchmark", "tvar2", "--n", "1", "--T", "64"], "run_benchmark"),
+    ], ids=["fit", "benchmark"])
+    def test_grid_values_merged_by_rounding_are_searched_once(
+            self, tmp_path, monkeypatch, command, target):
+        """Steps below the grid's 10 decimals round 8 values to 3; the
+        searches get each of the 3 once, in ascending order."""
+        grids, run = [], getattr(cli, target)
+
+        def spy(*args, grid, **kwargs):
+            grids.append(grid)
+            return run(*args, grid=grid, **kwargs)
+
+        monkeypatch.setattr(cli, target, spy)
+        write_series_csv(tmp_path / "s.csv", np.random.default_rng(56).normal(size=40))
+        command = [str(tmp_path / c) if c == "s.csv" else c for c in command]
+        assert main(command + ["--p-max", "2", "--grid-min", "0.9", "--grid-max",
+                               "0.9000000002", "--grid-step", "3e-11",
+                               "--out-dir", str(tmp_path / "out")]) == 0
+        expected = (0.9, 0.9000000001, 0.9000000002)
+        assert grids[0].gammas == grids[0].deltas == expected
 
     def test_benchmark_rejects_workers_below_one(self, tmp_path, capsys):
         for workers in ("0", "-3"):

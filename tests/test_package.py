@@ -1,11 +1,14 @@
 """The package namespace re-exports each module's public names, and needs
-no runtime dependency beyond numpy."""
+no runtime dependency beyond numpy.  The test configuration reports a
+failing hypothesis property as one failure."""
 
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import blf
 from blf import dlm, lattice, selection, simulate, spectrum, tvar
@@ -42,3 +45,26 @@ def test_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_failing_property_does_not_stop_the_run(tmp_path):
+    """pyproject's warning filters raise DeprecationWarning as an error, and
+    hypothesis's failure report imports libcst, which raises one; a failing
+    property is reported as a failure and the tests after it still run."""
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_case.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers(0, 10))
+        def test_fails(n):
+            assert n < 5
+
+        def test_passes():
+            pass
+    """))
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(config), str(tmp_path / "test_case.py")],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout + proc.stderr

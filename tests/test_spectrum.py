@@ -588,6 +588,22 @@ class TestTimeBlocks:
         assert np.max(np.abs(z_mean)) < slack
         assert np.max(np.abs(z_sd)) < slack
 
+    def test_restored_generator_replays_the_posterior(self):
+        """Restoring the caller's generator state replays the posterior bit
+        for bit and leaves the generator where the first run left it: the
+        draws depend on the caller's generator alone."""
+        x = np.random.default_rng(29).normal(size=200)
+        run = run_lattice(x, 3, DiscountPair(0.95, 0.9), default_prior(x))
+        draw, freqs = path_sampler(run, 3), default_freq_grid(0.05)
+        rng = np.random.default_rng(4)
+        saved = rng.bit_generator.state
+        m1, s1 = spectrum_posterior(draw, 130, freqs, rng)
+        after = rng.bit_generator.state
+        rng.bit_generator.state = saved
+        m2, s2 = spectrum_posterior(draw, 130, freqs, rng)
+        assert np.array_equal(m1.values, m2.values) and np.array_equal(s1.values, s2.values)
+        assert rng.bit_generator.state == after
+
     @pytest.mark.parametrize("T", [4096, 16384])
     def test_posterior_memory_is_bounded(self, T):
         """256 draws of an order-6 fit: the traced peak beyond the two (T, L)

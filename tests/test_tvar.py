@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blf import tvar
-from blf.dlm import DiscountPair, _block_sampler, backward_sample, default_prior
+from blf.dlm import DiscountPair, _block_sampler, default_prior
 from blf.lattice import filter_rows, run_lattice, stage_filters, stage_variance
 from blf.simulate import gen_tvar2, gen_tvar6
 from blf.tvar import assemble_fit, parcor_to_tvar, path_sampler
@@ -122,39 +122,50 @@ class TestAssembleFit:
         assert assemble_fit(run, np.int64(2)).P == 2
 
 
+def regression_generators(rng, P):
+    """The two generators of each of the 2P regressions, in draw order, as
+    one call of ``path_sampler``'s draw derives them from ``rng``."""
+    seeds = np.random.SeedSequence(rng.integers(0, 2**63, size=4)).spawn(4 * P)
+    gens = [np.random.default_rng(s) for s in seeds]
+    return list(zip(gens[0::2], gens[1::2]))
+
+
 def stacked_draw(run, P, rng, size):
-    """Posterior paths through whole grids: each stage's sampler rows
-    placed by ``filter_rows`` into (size, T, P) grids, then
-    ``parcor_to_tvar`` on those grids."""
+    """Posterior paths through whole grids: each regression's sampler
+    draws, from its own two generators, all the rows a time takes in one
+    call; the rows are placed by ``filter_rows`` into (size, T, P) grids,
+    then ``parcor_to_tvar`` runs on those grids."""
     T = len(run.x)
+    gens = iter(regression_generators(rng, P))
     alpha, beta = np.empty((2, size, T, P))
     for j in range(P):
         rows_f, rows_b = filter_rows(T, j + 1)
         fs_f, fs_b = stage_filters(run, j + 1)
-        th_f, s2_f = backward_sample(fs_f, rng, size=size)
-        th_b, _ = backward_sample(fs_b, rng, size=size)
-        alpha[:, :, j] = th_f[rows_f].T
-        beta[:, :, j] = th_b[rows_b].T
+        th_f, s2_f = _block_sampler(fs_f, *next(gens), size)(rows_f[0])
+        th_b, _ = _block_sampler(fs_b, *next(gens), size)(rows_b[0])
+        alpha[:, :, j] = th_f[rows_f - rows_f[0]].T
+        beta[:, :, j] = th_b[rows_b - rows_b[0]].T
     coeffs, _ = parcor_to_tvar(alpha, beta)
-    return coeffs, s2_f[rows_f].T
+    return coeffs, s2_f[rows_f - rows_f[0]].T
 
 
 def block_stacked_draw(run, P, rng, size, n_blocks):
     """The same through the block stream: for each of ``n_blocks`` equal
     time blocks, last first, each regression (stage order, forward before
-    backward) draws the rows the block needs, down to row 0 for the first
-    block; the rows are gathered into whole per-regression paths, placed
-    by ``filter_rows`` and mapped by ``parcor_to_tvar`` on whole grids."""
+    backward) draws the rows the block needs from its own two generators;
+    the rows are gathered into whole per-regression paths, placed by
+    ``filter_rows`` and mapped by ``parcor_to_tvar`` on whole grids."""
     T = len(run.x)
     edges = [T * i // n_blocks for i in range(n_blocks + 1)]
     regs = [(fs, rows) for m in range(1, P + 1)
             for fs, rows in zip(stage_filters(run, m), filter_rows(T, m))]
-    samplers = [_block_sampler(fs, rng, size) for fs, _ in regs]
+    samplers = [_block_sampler(fs, *gens, size)
+                for (fs, _), gens in zip(regs, regression_generators(rng, P))]
     paths = [(np.empty((len(fs.mu), size)), np.empty((len(fs.mu), size)))
              for fs, _ in regs]
     for i in range(n_blocks - 1, -1, -1):
         for (_, rows), sampler, (th, s2) in zip(regs, samplers, paths):
-            lo = rows[edges[i]] if i else 0
+            lo = rows[edges[i]]
             th_blk, s2_blk = sampler(lo)
             th[lo:lo + len(th_blk)], s2[lo:lo + len(s2_blk)] = th_blk, s2_blk
     grids = [th[rows].T for (_, rows), (th, _) in zip(regs, paths)]
@@ -196,7 +207,8 @@ class TestPathSampler:
     ])
     def test_one_block_is_whole_path_draws(self, P, T, size):
         """A draw within one block is a single block, and it gives the bits
-        and the generator stream of backward_sample's whole paths."""
+        and the caller's generator state of each regression's whole-path
+        draw from its own two generators."""
         x = np.random.default_rng(T + P).normal(size=T)
         run = run_lattice(x, P, DiscountPair(0.95, 0.9), default_prior(x))
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
@@ -206,6 +218,21 @@ class TestPathSampler:
             assert len(blocks) == 1 and blocks[0][0] == 0
             assert np.array_equal(blocks[0][1], ref_coeffs)
             assert np.array_equal(blocks[0][2], ref_sigma2)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("budget", [16 * 6 * 5, 16 * 6 * 5 * 2, 1000, 16 * 6 * 5 * 77])
+    def test_block_layout_moves_paths_by_rounding_only(self, monkeypatch, budget):
+        """Blocks of 1, 1-2, 3-4 and 76-77 steps give one block's paths to
+        rounding and leave the caller's generator in one state."""
+        x = np.random.default_rng(23).normal(size=301)
+        run = run_lattice(x, 6, DiscountPair(0.95, 0.9), default_prior(x))
+        draw = path_sampler(run, 6)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        ref_coeffs, ref_sigma2 = whole_paths(draw, ref_rng, 5)
+        monkeypatch.setattr(tvar, "_BLOCK_BYTES", budget)
+        coeffs, sigma2 = whole_paths(draw, rng, 5)
+        np.testing.assert_allclose(coeffs, ref_coeffs, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(sigma2, ref_sigma2, rtol=1e-12)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_zero_draws_give_empty_paths(self):
